@@ -7,16 +7,17 @@
 //! standard bootstrap plan (BSGS rotations/pmults with the accumulation
 //! barrier). Reports the fixed-stream and best-of-N makespans, modeled
 //! throughput, and the elementwise-fusion statistics, then measures the
-//! wall-clock speedup of the rayon wavefront executor against serial
-//! execution of the same randomized batch program on real ciphertexts
-//! (`test_small`), checking bit-identity along the way.
+//! wall-clock speedup of `BatchProgram`'s wavefront-parallel execution
+//! against serial execution on real ciphertexts (`test_small`), for a
+//! randomized 24-op program and for eight independent 3-op chains,
+//! checking bit-identity along the way.
 //!
 //! Artifacts: `BENCH_sched.json` at the repo root and
 //! `results/sched_trace.json` (Chrome trace of the best 4-stream HMult
 //! schedule — load in `chrome://tracing` or Perfetto).
 
 use neo_bench::fmt_time;
-use neo_ckks::batch::BatchProgram;
+use neo_ckks::batch::{BatchOp, BatchProgram, Slot};
 use neo_ckks::bootstrap::BootstrapPlan;
 use neo_ckks::cost::{CostConfig, Operation};
 use neo_ckks::encoding::Complex64;
@@ -34,6 +35,7 @@ use std::time::Instant;
 
 const MAX_STREAMS: usize = 8;
 const HMULT_COPIES: usize = 8;
+const EXEC_PAIRS: usize = 15;
 
 /// One simulated sweep of `g`: fixed-stream and best-of-N makespans for
 /// every stream count, plus per-count modeled throughput in ops/s.
@@ -64,23 +66,38 @@ fn sweep(g: &OpGraph, dev: &DeviceModel, ops_in_graph: usize, human: &mut String
     rows
 }
 
-/// Wall-clock host timing of one batch-program execution.
-fn time_execute(
+/// Median host times `(serial_s, parallel_s)` of `EXEC_PAIRS` executions
+/// of `prog` in each mode, after asserting that both modes succeed on
+/// every op with bit-identical outputs.
+fn time_serial_vs_parallel(
     prog: &BatchProgram,
     chest: &KeyChest,
     inputs: &[neo_ckks::Ciphertext],
-    parallel: bool,
-) -> (f64, Vec<neo_ckks::Ciphertext>) {
-    let t0 = Instant::now();
-    let out = prog
-        .execute(chest, inputs, KsMethod::Klss, parallel)
-        .expect("random programs are legal");
-    let secs = t0.elapsed().as_secs_f64();
-    let cts = out
-        .into_iter()
-        .map(|r| r.expect("random programs are legal"))
-        .collect();
-    (secs, cts)
+) -> (f64, f64) {
+    let run = |parallel| {
+        prog.execute(chest, inputs, KsMethod::Klss, parallel)
+            .expect("benchmark programs are legal")
+    };
+    let serial_out = run(false);
+    assert!(
+        serial_out.iter().all(Result::is_ok),
+        "benchmark programs are legal"
+    );
+    assert_eq!(serial_out, run(true), "executor outputs diverged");
+    // Serial/parallel, then parallel/serial, and so on: alternating which
+    // mode runs first lets drift on a shared host hit both modes alike.
+    let mut times = [Vec::new(), Vec::new()];
+    for rep in 0..2 * EXEC_PAIRS {
+        let parallel = (rep + rep / 2) % 2 == 1;
+        let t0 = Instant::now();
+        run(parallel);
+        times[usize::from(parallel)].push(t0.elapsed().as_secs_f64());
+    }
+    let [serial, parallel] = times.map(|mut t| {
+        t.sort_by(f64::total_cmp);
+        t[t.len() / 2]
+    });
+    (serial, parallel)
 }
 
 fn main() {
@@ -146,20 +163,44 @@ fn main() {
                 .expect("fresh encryption at max level")
         })
         .collect();
-    let prog = BatchProgram::random(&mut rng, inputs.len(), 24, level, ctx.degree());
-    // Warm once so key generation is excluded from both timings.
-    let _ = prog.execute(&chest, &inputs, KsMethod::Klss, false);
-    let (serial_s, serial_out) = time_execute(&prog, &chest, &inputs, false);
-    let (parallel_s, parallel_out) = time_execute(&prog, &chest, &inputs, true);
-    assert_eq!(serial_out, parallel_out, "executor outputs diverged");
-    let host_speedup = serial_s / parallel_s;
+    let random = BatchProgram::random(&mut rng, inputs.len(), 24, level, ctx.degree());
+    // The wide program is eight independent HMult→Rescale→HRotate chains:
+    // three wavefronts of eight ops each.
+    let mut wide = BatchProgram::new();
+    for chain in 0..8 {
+        let x = Slot::Input(chain % inputs.len());
+        let m = wide.try_push(BatchOp::HMult(x, x)).expect("legal");
+        let r = wide.try_push(BatchOp::Rescale(m)).expect("legal");
+        wide.try_push(BatchOp::HRotate(r, 1 + chain))
+            .expect("legal");
+    }
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let _ = writeln!(
         human,
-        "\nBatch executor (test_small, 24-op random program, {} threads): serial {} vs parallel {} -> {host_speedup:.2}x, bit-identical",
-        std::thread::available_parallelism().map_or(1, |n| n.get()),
-        fmt_time(serial_s),
-        fmt_time(parallel_s),
+        "\nBatch executor (test_small, {threads} threads, median of {EXEC_PAIRS} alternating pairs):"
     );
+    let mut executor_rows = serde_json::Map::new();
+    for (name, prog) in [("random_24_ops", &random), ("wide_8_chains", &wide)] {
+        let (serial_s, parallel_s) = time_serial_vs_parallel(prog, &chest, &inputs);
+        let host_speedup = serial_s / parallel_s;
+        let _ = writeln!(
+            human,
+            "  {name} ({} ops): serial {} vs parallel {} -> {host_speedup:.2}x, bit-identical",
+            prog.ops.len(),
+            fmt_time(serial_s),
+            fmt_time(parallel_s),
+        );
+        executor_rows.insert(
+            name.to_string(),
+            json!({
+                "program_ops": prog.ops.len(),
+                "serial_s": serial_s,
+                "parallel_s": parallel_s,
+                "host_speedup": host_speedup,
+                "bit_identical": true,
+            }),
+        );
+    }
 
     println!("{human}");
     let out = json!({
@@ -188,11 +229,9 @@ fn main() {
         },
         "batch_executor": {
             "params": "test_small",
-            "program_ops": prog.ops.len(),
-            "serial_s": serial_s,
-            "parallel_s": parallel_s,
-            "host_speedup": host_speedup,
-            "bit_identical": true,
+            "threads": threads,
+            "pairs": EXEC_PAIRS,
+            "programs": Value::Object(executor_rows),
         },
     });
     match serde_json::to_string_pretty(&out) {

@@ -204,7 +204,6 @@ fn main() {
             pricing_params: Some(pricing.clone()),
             ..AdmissionConfig::default()
         },
-        parallel: true,
         ..ServeConfig::default()
     };
     let mut core = ServiceCore::new(Arc::clone(&registry), cfg);
@@ -265,7 +264,6 @@ fn main() {
             pricing_params: Some(pricing.clone()),
             ..AdmissionConfig::default()
         },
-        parallel: true,
         ..ServeConfig::default()
     };
     let mut over = ServiceCore::new(Arc::clone(&registry), over_cfg);

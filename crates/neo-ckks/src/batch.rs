@@ -1,12 +1,14 @@
 //! Batch workloads over real ciphertexts: one dependency structure that
-//! both *executes* on the host (serial or rayon wavefronts via
-//! [`neo_sched::TaskGraph`]) and *prices* on the device model (as a
+//! both *executes* on the host and *prices* on the device model (as a
 //! kernel DAG via [`crate::sched`]).
 //!
 //! A [`BatchProgram`] is a list of ciphertext operations whose operands
-//! are either batch inputs or earlier results ([`Slot`]). Independent
-//! operations run concurrently under [`BatchProgram::execute`] with
-//! `parallel = true`, and the output is bit-identical to the serial run:
+//! are either batch inputs or earlier results ([`Slot`]). With
+//! `parallel = false`, [`BatchProgram::execute`] runs the ops in index
+//! order on the calling thread. With `parallel = true` it groups them by
+//! dependency depth into topological wavefronts and runs each
+//! wavefront's ops concurrently on the rayon pool. The output is
+//! bit-identical to the serial run:
 //! every CKKS primitive here is a deterministic pure function of its
 //! operands, and the required key-switching keys are generated *before*
 //! the parallel region (key generation draws from the chest's RNG, so
@@ -26,9 +28,9 @@ use crate::params::{CkksParams, KsMethod};
 use crate::sched::append_op;
 use neo_error::{ErrorKind, NeoError};
 use neo_ntt::cache as ntt_cache;
-use neo_sched::{OpGraph, TaskGraph};
+use neo_sched::OpGraph;
 use rand::Rng;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use rayon::prelude::*;
 
 /// Bounded retry budget [`BatchProgram::execute`] grants each op for
 /// transient [`NeoError::FaultDetected`] failures.
@@ -37,7 +39,7 @@ pub const DEFAULT_MAX_RETRIES: u32 = 2;
 /// Outcome of [`BatchProgram::execute_with_report`]: per-op results plus
 /// the recovery accounting the fault-matrix harness and the fault report
 /// artifact consume.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct BatchReport {
     /// One slot per op: the ciphertext, or the op's own structured error
     /// ([`NeoError::PoisonedInput`] downstream of a failed producer).
@@ -97,6 +99,100 @@ fn backoff(attempt: u32) {
     }
 }
 
+/// Checks that op `idx`'s operands name one of `n_inputs` inputs or an
+/// earlier op.
+fn check_operands(op: &BatchOp, idx: usize, n_inputs: usize) -> Result<(), NeoError> {
+    for s in op.operands() {
+        match s {
+            Slot::Input(i) if i >= n_inputs => {
+                return Err(NeoError::parameter_mismatch(
+                    "batch_execute",
+                    format!("op {idx} reads Input({i}) but only {n_inputs} inputs given"),
+                ));
+            }
+            Slot::Op(j) if j >= idx => {
+                return Err(NeoError::invalid_params(format!(
+                    "op {idx} reads Op({j}), which is not an earlier operation"
+                )));
+            }
+            _ => {}
+        }
+    }
+    Ok(())
+}
+
+/// One op's execution: its result, the retries it spent, the faults
+/// retry absorbed, and the poisoned plan-cache entries swept on the way.
+type OpRun = (Result<Ciphertext, NeoError>, u32, u32, u64);
+
+/// Runs op `idx` of a batch against `inputs` and the already-finished
+/// ops in `done`. A failed producer poisons the op (the first failed
+/// operand in operand order names the upstream culprit); otherwise the
+/// op runs with up to `max_retries` further attempts on a detected fault.
+fn run_op(
+    op: BatchOp,
+    idx: usize,
+    chest: &KeyChest,
+    inputs: &[Ciphertext],
+    done: &[Option<OpRun>],
+    method: KsMethod,
+    max_retries: u32,
+) -> OpRun {
+    // `done[j]` is always filled here: operands name earlier ops
+    // (`check_slots`), which run in an earlier step or wavefront.
+    let operand = |s: Slot| match s {
+        Slot::Input(i) => Ok(&inputs[i]),
+        Slot::Op(j) => match &done[j] {
+            Some((Ok(ct), ..)) => Ok(ct),
+            _ => Err(NeoError::poisoned(idx, j)),
+        },
+    };
+    let args: Vec<&Ciphertext> = match op.operands().into_iter().map(operand).collect() {
+        Ok(args) => args,
+        Err(e) => return (Err(e), 0, 0, 0),
+    };
+    let ctx = chest.context();
+    let attempt_op = || match op {
+        BatchOp::HMult(..) => ops::try_hmult(chest, args[0], args[1], method),
+        BatchOp::HAdd(..) => ops::try_hadd(ctx, args[0], args[1]),
+        BatchOp::HRotate(_, steps) => ops::try_hrotate(chest, args[0], steps, method),
+        BatchOp::Rescale(_) => ops::try_rescale(ctx, args[0]),
+    };
+    let (mut retries, mut swept) = (0u32, 0u64);
+    let mut last_site: Option<&'static str> = None;
+    loop {
+        match attempt_op() {
+            Ok(ct) => {
+                if retries > 0 {
+                    if let Some(site) = last_site.and_then(injection_site) {
+                        neo_fault::note_recovery(site);
+                    }
+                }
+                return (Ok(ct), retries, retries, swept);
+            }
+            Err(e) if e.kind() == ErrorKind::FaultDetected && retries < max_retries => {
+                if let NeoError::FaultDetected { site, .. } = &e {
+                    last_site = Some(*site);
+                }
+                retries += 1;
+                // An NTT-site fault may stem from a rotted plan rather
+                // than a transient flip: sweep and rebuild poisoned cache
+                // entries so the retry reruns against clean tables. The
+                // sweep is gated on the detection site: a TCU or
+                // spurious-op fault says nothing about the plan cache, and
+                // the sweep's write lock on the process-wide cache would
+                // stall every other tenant's NTTs for no reason (see the
+                // interleaved-tenant regression test).
+                if sweeps_plan_cache(last_site) {
+                    swept += ntt_cache::quarantine_corrupt() as u64;
+                }
+                backoff(retries);
+            }
+            Err(e) => return (Err(e), retries, 0, swept),
+        }
+    }
+}
+
 /// An operand of a batch operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Slot {
@@ -126,6 +222,15 @@ impl BatchOp {
             BatchOp::HMult(a, b) | BatchOp::HAdd(a, b) => vec![a, b],
             BatchOp::HRotate(a, _) | BatchOp::Rescale(a) => vec![a],
         }
+    }
+
+    /// The earlier operations this operation reads: its [`Slot::Op`]
+    /// operands, in operand order.
+    fn producers(&self) -> impl Iterator<Item = usize> {
+        self.operands().into_iter().filter_map(|s| match s {
+            Slot::Op(j) => Some(j),
+            Slot::Input(_) => None,
+        })
     }
 
     /// The cost-model operation this maps to.
@@ -160,15 +265,8 @@ impl BatchProgram {
     /// [`NeoError::InvalidParams`] if an operand refers to an operation
     /// at or after this one.
     pub fn try_push(&mut self, op: BatchOp) -> Result<Slot, NeoError> {
-        for s in op.operands() {
-            if let Slot::Op(j) = s {
-                if j >= self.ops.len() {
-                    return Err(NeoError::invalid_params(format!(
-                        "operand Op({j}) not yet defined"
-                    )));
-                }
-            }
-        }
+        // The inputs are not known yet; `check_slots` bounds them later.
+        check_operands(&op, self.ops.len(), usize::MAX)?;
         self.ops.push(op);
         Ok(Slot::Op(self.ops.len() - 1))
     }
@@ -225,21 +323,39 @@ impl BatchProgram {
         Ok(())
     }
 
-    /// Checks that every operand slot names an existing batch input.
-    fn check_input_slots(&self, n_inputs: usize) -> Result<(), NeoError> {
+    /// Checks that every operand names an existing batch input or an
+    /// earlier operation. [`Self::try_push`] keeps the second half of
+    /// this invariant, but `ops` is public, so the entry points re-check
+    /// it before planning or executing anything.
+    ///
+    /// # Errors
+    ///
+    /// [`NeoError::ParameterMismatch`] if an operand names a missing
+    /// input; [`NeoError::InvalidParams`] if an operand names an
+    /// operation at or after its own.
+    pub fn check_slots(&self, n_inputs: usize) -> Result<(), NeoError> {
         for (idx, op) in self.ops.iter().enumerate() {
-            for s in op.operands() {
-                if let Slot::Input(i) = s {
-                    if i >= n_inputs {
-                        return Err(NeoError::parameter_mismatch(
-                            "batch_execute",
-                            format!("op {idx} reads Input({i}) but only {n_inputs} inputs given"),
-                        ));
-                    }
-                }
-            }
+            check_operands(op, idx, n_inputs)?;
         }
         Ok(())
+    }
+
+    /// Groups the operations into topological wavefronts: wavefront `k`
+    /// holds every op whose longest chain of [`Slot::Op`] operands has
+    /// length `k`, so the ops of one wavefront are mutually independent.
+    /// Requires [`Self::check_slots`] to hold.
+    fn wavefronts(&self) -> Vec<Vec<usize>> {
+        let mut depth: Vec<usize> = Vec::with_capacity(self.ops.len());
+        let mut waves: Vec<Vec<usize>> = Vec::new();
+        for (idx, op) in self.ops.iter().enumerate() {
+            let d = op.producers().map(|j| depth[j] + 1).max().unwrap_or(0);
+            depth.push(d);
+            if d == waves.len() {
+                waves.push(Vec::new());
+            }
+            waves[d].push(idx);
+        }
+        waves
     }
 
     /// Runs the program over `inputs` and returns every operation's
@@ -259,7 +375,9 @@ impl BatchProgram {
     ///
     /// [`NeoError::LevelMismatch`] if the inputs do not share one level;
     /// [`NeoError::ParameterMismatch`] if an operand names a missing
-    /// input; [`NeoError::KeySwitchKeyMissing`] if key warm-up fails.
+    /// input; [`NeoError::InvalidParams`] if an operand names an
+    /// operation at or after its own; [`NeoError::KeySwitchKeyMissing`]
+    /// if key warm-up fails.
     pub fn execute(
         &self,
         chest: &KeyChest,
@@ -294,6 +412,7 @@ impl BatchProgram {
         parallel: bool,
         max_retries: u32,
     ) -> Result<BatchReport, NeoError> {
+        self.check_slots(inputs.len())?;
         if let Some(first) = inputs.first() {
             for ct in &inputs[1..] {
                 if ct.level() != first.level() {
@@ -304,128 +423,32 @@ impl BatchProgram {
                     ));
                 }
             }
-        }
-        self.check_input_slots(inputs.len())?;
-        if let Some(first) = inputs.first() {
             self.warm_keys(chest, first.level(), method)?;
         }
-        let ctx = chest.context();
         let n_ops = self.ops.len();
-        let retries: Vec<AtomicU32> = (0..n_ops).map(|_| AtomicU32::new(0)).collect();
-        let recovered: Vec<AtomicU32> = (0..n_ops).map(|_| AtomicU32::new(0)).collect();
-        let quarantined = AtomicU64::new(0);
-        let results = {
-            let mut tg: TaskGraph<'_, Result<Ciphertext, NeoError>> = TaskGraph::new();
-            for (idx, op) in self.ops.iter().enumerate() {
-                // Task dependencies: operand slots that are earlier ops (the
-                // task index equals the op index — one task per op).
-                let deps: Vec<usize> = op
-                    .operands()
-                    .into_iter()
-                    .filter_map(|s| match s {
-                        Slot::Op(j) => Some(j),
-                        Slot::Input(_) => None,
-                    })
-                    .collect();
-                let op = *op;
-                let dep_ids = deps.clone();
-                let (retries, recovered, quarantined) = (&retries, &recovered, &quarantined);
-                tg.push(
-                    &deps,
-                    move |resolved: &[&Result<Ciphertext, NeoError>]| {
-                        // A failed producer poisons this op (first failed operand
-                        // in operand order names the upstream culprit).
-                        for (r, &j) in resolved.iter().zip(&dep_ids) {
-                            if r.is_err() {
-                                return Err(NeoError::poisoned(idx, j));
-                            }
-                        }
-                        let run = || {
-                            // Dep outputs arrive in operand order; inputs come
-                            // from the captured slice.
-                            let mut next = resolved.iter();
-                            let mut get = |s: Slot| -> &Ciphertext {
-                                match s {
-                                    Slot::Input(i) => &inputs[i],
-                                    Slot::Op(_) => next
-                                        .next()
-                                        .expect("dependency output")
-                                        .as_ref()
-                                        .expect("poison-checked above"),
-                                }
-                            };
-                            match op {
-                                BatchOp::HMult(a, b) => {
-                                    let (a, b) = (get(a), get(b));
-                                    ops::try_hmult(chest, a, b, method)
-                                }
-                                BatchOp::HAdd(a, b) => {
-                                    let (a, b) = (get(a), get(b));
-                                    ops::try_hadd(ctx, a, b)
-                                }
-                                BatchOp::HRotate(a, steps) => {
-                                    ops::try_hrotate(chest, get(a), steps, method)
-                                }
-                                BatchOp::Rescale(a) => ops::try_rescale(ctx, get(a)),
-                            }
-                        };
-                        let mut attempt = 0u32;
-                        let mut last_site: Option<&'static str> = None;
-                        loop {
-                            match run() {
-                                Ok(ct) => {
-                                    if attempt > 0 {
-                                        recovered[idx].fetch_add(attempt, Ordering::Relaxed);
-                                        if let Some(site) = last_site.and_then(injection_site) {
-                                            neo_fault::note_recovery(site);
-                                        }
-                                    }
-                                    return Ok(ct);
-                                }
-                                Err(e)
-                                    if e.kind() == ErrorKind::FaultDetected
-                                        && attempt < max_retries =>
-                                {
-                                    if let NeoError::FaultDetected { site, .. } = &e {
-                                        last_site = Some(*site);
-                                    }
-                                    attempt += 1;
-                                    retries[idx].fetch_add(1, Ordering::Relaxed);
-                                    // An NTT-site fault may stem from a rotted
-                                    // plan rather than a transient flip: sweep
-                                    // and rebuild poisoned cache entries so the
-                                    // retry reruns against clean tables. The
-                                    // sweep is gated on the detection site: a
-                                    // TCU or spurious-op fault says nothing
-                                    // about the plan cache, and the sweep's
-                                    // write lock on the process-wide cache
-                                    // would stall every other tenant's NTTs
-                                    // for no reason (see the interleaved-
-                                    // tenant regression test).
-                                    if sweeps_plan_cache(last_site) {
-                                        let swept = ntt_cache::quarantine_corrupt();
-                                        quarantined.fetch_add(swept as u64, Ordering::Relaxed);
-                                    }
-                                    backoff(attempt);
-                                }
-                                Err(e) => return Err(e),
-                            }
-                        }
-                    },
-                );
-            }
-            if parallel {
-                tg.run_parallel()
-            } else {
-                tg.run_serial()
-            }
+        let run = |idx: usize, done: &[Option<OpRun>]| {
+            run_op(self.ops[idx], idx, chest, inputs, done, method, max_retries)
         };
-        let report = BatchReport {
-            results,
-            retries_attempted: retries.into_iter().map(AtomicU32::into_inner).collect(),
-            faults_recovered: recovered.into_iter().map(AtomicU32::into_inner).collect(),
-            plans_quarantined: quarantined.into_inner(),
-        };
+        let mut done: Vec<Option<OpRun>> = (0..n_ops).map(|_| None).collect();
+        if parallel {
+            for wave in self.wavefronts() {
+                let produced: Vec<OpRun> = wave.par_iter().map(|&idx| run(idx, &done)).collect();
+                for (idx, r) in wave.into_iter().zip(produced) {
+                    done[idx] = Some(r);
+                }
+            }
+        } else {
+            for idx in 0..n_ops {
+                done[idx] = Some(run(idx, &done));
+            }
+        }
+        let mut report = BatchReport::default();
+        for (result, retries, recovered, swept) in done.into_iter().flatten() {
+            report.results.push(result);
+            report.retries_attempted.push(retries);
+            report.faults_recovered.push(recovered);
+            report.plans_quarantined += swept;
+        }
         crate::metrics::record_batch_report(&report);
         Ok(report)
     }
@@ -456,14 +479,7 @@ impl BatchProgram {
         let levels = self.op_levels(input_level);
         let mut exits = Vec::with_capacity(self.ops.len());
         for (tag, (op, &level)) in self.ops.iter().zip(&levels).enumerate() {
-            let after: Vec<_> = op
-                .operands()
-                .into_iter()
-                .filter_map(|s| match s {
-                    Slot::Op(j) => Some(exits[j]),
-                    Slot::Input(_) => None,
-                })
-                .collect();
+            let after: Vec<_> = op.producers().map(|j| exits[j]).collect();
             exits.push(append_op(
                 g,
                 p,
@@ -574,6 +590,18 @@ mod tests {
         let r = push(&mut prog, BatchOp::Rescale(m));
         push(&mut prog, BatchOp::HRotate(r, 3));
         assert_eq!(prog.op_levels(5), vec![5, 5, 4]);
+    }
+
+    #[test]
+    fn wavefronts_by_depth() {
+        // A diamond: 0 -> {1, 2} -> 3, plus an input-only op 4.
+        let mut prog = BatchProgram::new();
+        let m = push(&mut prog, BatchOp::HMult(Slot::Input(0), Slot::Input(1)));
+        let l = push(&mut prog, BatchOp::HRotate(m, 1));
+        let r = push(&mut prog, BatchOp::Rescale(m));
+        push(&mut prog, BatchOp::HAdd(l, r));
+        push(&mut prog, BatchOp::HRotate(Slot::Input(0), 2));
+        assert_eq!(prog.wavefronts(), vec![vec![0, 4], vec![1, 2], vec![3]]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! # neo-sched — kernel-DAG scheduling for the Neo reproduction
 //!
-//! Three layers over one graph representation:
+//! Two layers over one graph representation:
 //!
 //! * [`graph`] — [`OpGraph`], a kernel-level task DAG whose nodes carry
 //!   [`neo_gpu_sim::KernelProfile`] work counts (CUDA-FP64 seconds, TCU
@@ -19,20 +19,11 @@
 //!   `neo_gpu_sim::ExecConfig` (which is retained as a closed-form
 //!   baseline and cross-checked in the workspace tests). Simulated
 //!   timelines export as Chrome traces via [`sim::chrome_trace`].
-//! * [`exec`] — a **host batch executor**: [`exec::TaskGraph`] runs
-//!   independent ciphertext operations of a batch concurrently in
-//!   topological wavefronts on the rayon pool, bit-identical to serial
-//!   execution, with retry-capable variants
-//!   ([`exec::TaskGraph::run_serial_retry`] /
-//!   [`exec::TaskGraph::run_parallel_retry`]) that re-run tasks whose
-//!   outputs a caller-supplied predicate flags as transient failures.
 
-pub mod exec;
 pub mod graph;
 pub mod metrics;
 pub mod sim;
 
-pub use exec::{RetryRun, TaskGraph};
 pub use graph::{FusionStats, NodeId, OpGraph, OpNode};
 pub use metrics::publish_utilization;
 pub use sim::{

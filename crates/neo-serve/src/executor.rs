@@ -76,11 +76,10 @@ pub struct BatchStats {
 
 /// Executes a coalesced batch: serial deterministic warm-up, then the
 /// per-request executions in admission order — concurrently across
-/// requests when `parallel` is set, each request serial inside.
+/// requests on the rayon pool, each request serial inside.
 pub fn execute_coalesced(
     registry: &TenantRegistry,
     batch: CoalescedBatch,
-    parallel: bool,
 ) -> (Vec<Response>, BatchStats) {
     let _span = SpanGuard::enter("serve_batch", || {
         format!(
@@ -158,13 +157,7 @@ pub fn execute_coalesced(
         }
     };
 
-    let indexed: Vec<(usize, &crate::admission::QueuedRequest)> =
-        batch.requests.iter().enumerate().collect();
-    let responses: Vec<Response> = if parallel {
-        indexed.into_par_iter().map(run_one).collect()
-    } else {
-        indexed.into_iter().map(run_one).collect()
-    };
+    let responses: Vec<Response> = batch.requests.par_iter().enumerate().map(run_one).collect();
 
     // Post-execution accounting, serial so budget charges are ordered.
     for resp in &responses {

@@ -28,9 +28,6 @@ use std::time::{Duration, Instant};
 pub struct ServeConfig {
     /// Admission policy (window, caps, makespan budget, cost model).
     pub admission: AdmissionConfig,
-    /// Execute a batch's requests concurrently on the rayon pool
-    /// (results stay bit-identical to serial; only wall time changes).
-    pub parallel: bool,
     /// Device the cost oracle prices batches against.
     pub device: DeviceModel,
     /// Threaded front-end only: how long the worker waits for more
@@ -46,7 +43,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             admission: AdmissionConfig::default(),
-            parallel: true,
             device: DeviceModel::a100(),
             linger: Duration::from_micros(200),
             channel_bound: 1024,
@@ -134,7 +130,10 @@ impl ServiceCore {
     ///
     /// # Errors
     ///
-    /// * [`NeoError::InvalidParams`] — unknown tenant.
+    /// * [`NeoError::InvalidParams`] — unknown tenant, or an operand
+    ///   naming an operation at or after its own.
+    /// * [`NeoError::ParameterMismatch`] — an operand naming a missing
+    ///   input.
     /// * [`NeoError::Overloaded`] — shed: tenant recovery budget
     ///   exhausted (`retry_budget`), tenant inflight cap
     ///   (`tenant_inflight`), or queue at bound (`queue_depth`).
@@ -147,6 +146,9 @@ impl ServiceCore {
         let session = self.registry.get(tenant).ok_or_else(|| {
             NeoError::invalid_params(format!("tenant {tenant} is not registered"))
         })?;
+        // A malformed program is refused before it takes an inflight slot
+        // (and before pricing, which walks its operand graph).
+        program.check_slots(inputs.len())?;
         if session.budget_exhausted() {
             session.note_shed();
             self.stats.shed_budget += 1;
@@ -225,7 +227,7 @@ impl ServiceCore {
     pub fn drain_batch(&mut self) -> Option<(Vec<Response>, BatchStats)> {
         let params = self.registry.context().params().clone();
         let batch = self.queue.coalesce(&params, &self.cfg.device)?;
-        let (responses, stats) = execute_coalesced(&self.registry, batch, self.cfg.parallel);
+        let (responses, stats) = execute_coalesced(&self.registry, batch);
         self.stats.batches += 1;
         self.stats.coalesced_requests += stats.requests as u64;
         self.stats.completed += responses.len() as u64;

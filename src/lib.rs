@@ -38,8 +38,8 @@ pub use neo_ntt as ntt;
 /// Sim-driven execution-plan autotuner: sweeps the knob space through the
 /// scheduler's simulator and caches winning [`ckks::ExecPlan`]s.
 pub use neo_plan as plan;
-/// Kernel-DAG scheduling: fusion rewrites, the discrete-event multi-stream
-/// simulator, and the rayon wavefront batch executor.
+/// Kernel-DAG scheduling: fusion rewrites and the discrete-event
+/// multi-stream simulator.
 pub use neo_sched as sched;
 /// Multi-tenant serving: per-tenant sessions over a shared context,
 /// sim-priced admission and batch coalescing, typed backpressure.

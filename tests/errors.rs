@@ -264,3 +264,34 @@ fn batch_outer_errors_are_typed() {
         .unwrap_err();
     assert_eq!(err.kind(), ErrorKind::InvalidParams);
 }
+
+/// `BatchProgram.ops` is public, so a caller can build a program whose
+/// operand names its own op. Both batch entry points refuse it with a
+/// typed error before planning anything — and the service refuses it
+/// before it takes one of the tenant's inflight slots.
+#[test]
+fn malformed_program_is_refused_at_both_entry_points() {
+    use neo::serve::{ServeConfig, ServiceCore, TenantRegistry};
+    let self_loop = || BatchProgram {
+        ops: vec![BatchOp::HAdd(Slot::Input(0), Slot::Op(0))],
+    };
+
+    let e = engine();
+    let inputs = vec![e.encrypt_f64(&[0.5], 3).unwrap()];
+    for parallel in [false, true] {
+        let err = e
+            .execute_batch(&self_loop(), &inputs, parallel)
+            .unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidParams);
+    }
+
+    let registry = Arc::new(TenantRegistry::new(CkksParams::test_tiny()).unwrap());
+    registry.register_default(0, 7).unwrap();
+    let session = registry.get(0).unwrap();
+    let ct = session.engine().encrypt_f64(&[0.5], 3).unwrap();
+    let mut core = ServiceCore::new(Arc::clone(&registry), ServeConfig::default());
+    let err = core.submit(0, self_loop(), vec![ct]).unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::InvalidParams);
+    assert_eq!(session.inflight(), 0);
+    assert_eq!(core.queue_depth(), 0);
+}

@@ -142,16 +142,34 @@ fn chest_and_inputs(seed: u64, count: usize) -> (KeyChest, Vec<neo::ckks::Cipher
 
 /// Acceptance criterion: the rayon batch executor is bit-identical to
 /// serial execution on randomized programs of hmult/hrotate/rescale/hadd
-/// over real ciphertexts, for both key-switching methods.
+/// over real ciphertexts, for both key-switching methods — plus a deep
+/// 50-op rotation chain (one op per wavefront) and eight independent
+/// HMult→Rescale→HRotate chains (eight ops per wavefront).
 #[test]
 fn batch_executor_bit_identical_to_serial() {
+    let mut deep = BatchProgram::new();
+    let mut prev = Slot::Input(0);
+    for step in 0..50 {
+        prev = deep.try_push(BatchOp::HRotate(prev, 1 + step % 3)).unwrap();
+    }
+    let mut wide = BatchProgram::new();
+    for chain in 0..8 {
+        let x = Slot::Input(chain % 3);
+        let m = wide.try_push(BatchOp::HMult(x, x)).unwrap();
+        let r = wide.try_push(BatchOp::Rescale(m)).unwrap();
+        wide.try_push(BatchOp::HRotate(r, 1 + chain)).unwrap();
+    }
     for (seed, method) in [(7u64, KsMethod::Klss), (8, KsMethod::Hybrid)] {
         let (chest, inputs) = chest_and_inputs(seed, 3);
         let level = inputs[0].level();
         let mut rng = StdRng::seed_from_u64(seed * 1000 + 1);
-        for round in 0..3 {
-            let prog =
-                BatchProgram::random(&mut rng, inputs.len(), 10, level, chest.context().degree());
+        let mut programs: Vec<BatchProgram> = (0..3)
+            .map(|_| {
+                BatchProgram::random(&mut rng, inputs.len(), 10, level, chest.context().degree())
+            })
+            .collect();
+        programs.extend([deep.clone(), wide.clone()]);
+        for (round, prog) in programs.iter().enumerate() {
             let serial = prog.execute(&chest, &inputs, method, false).unwrap();
             let parallel = prog.execute(&chest, &inputs, method, true).unwrap();
             assert_eq!(
