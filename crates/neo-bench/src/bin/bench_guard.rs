@@ -192,8 +192,11 @@ fn main() {
         let _ = std::fs::remove_file(&p);
         p
     };
-    let store_ctx =
-        std::sync::Arc::new(neo_ckks::CkksContext::new(CkksParams::test_tiny()).expect("params"));
+    // Portable like the kernels above, so the baseline does not move
+    // with the host's default backend.
+    let mut store_params = CkksParams::test_tiny();
+    store_params.backend = BackendKind::Portable;
+    let store_ctx = std::sync::Arc::new(neo_ckks::CkksContext::new(store_params).expect("params"));
     let store_level = store_ctx.params().max_level;
     {
         let engine = FheEngine::with_context(store_ctx.clone(), 0xbe);

@@ -27,7 +27,6 @@ pub fn keyswitch_hybrid(
     let qp_primes = ctx.qp_primes(level);
     let q_primes = &ctx.q_primes()[..=level];
     let ranges = digit_ranges(ctx.params().alpha(), level + 1);
-    let n = d.degree();
     let dnum = ranges.len();
     let _s = neo_trace::span!("keyswitch.hybrid", level = level, dnum = dnum);
     // Mod Up each digit independently (approximate BConv into the
@@ -36,8 +35,8 @@ pub fn keyswitch_hybrid(
     let xs: Vec<Result<RnsPoly, NeoError>> = ranges
         .par_iter()
         .map(|r| -> Result<RnsPoly, NeoError> {
-            // Digit limbs straight from d.
-            let digit: Vec<Vec<u64>> = r.clone().map(|i| d.limb(i).to_vec()).collect();
+            // Digit limbs straight from d, borrowed for the conversion.
+            let digit: Vec<&[u64]> = r.clone().map(|i| d.limb(i)).collect();
             let digit_primes: Vec<u64> = q_primes[r.clone()].to_vec();
             let complement: Vec<u64> = qp_primes
                 .iter()
@@ -50,10 +49,9 @@ pub fn keyswitch_hybrid(
             // Reassemble in qp order.
             let mut limbs: Vec<Vec<u64>> = Vec::with_capacity(qp.len());
             let mut conv_iter = conv.into_iter();
-            let mut digit_iter = digit.into_iter();
             for i in 0..qp.len() {
                 if r.contains(&i) {
-                    limbs.push(digit_iter.next().expect("digit limb"));
+                    limbs.push(d.limb(i).to_vec());
                 } else {
                     limbs.push(conv_iter.next().expect("converted limb"));
                 }
@@ -64,14 +62,17 @@ pub fn keyswitch_hybrid(
         })
         .collect();
     let xs: Vec<RnsPoly> = xs.into_iter().collect::<Result<_, _>>()?;
-    // Inner product with the digit key (accumulation stays in digit order,
-    // so the output is bit-identical to the sequential walk).
-    let mut acc0 = RnsPoly::zero(n, qp.len(), Domain::Ntt);
-    let mut acc1 = RnsPoly::zero(n, qp.len(), Domain::Ntt);
-    for (j, x) in xs.iter().enumerate() {
-        acc0.mul_acc_assign(x, &key.digits[j][0], &qp);
-        acc1.mul_acc_assign(x, &key.digits[j][1], &qp);
-    }
+    // Inner product with the digit key, one exact sum per coefficient.
+    let backend = ctx.params().backend;
+    let ip = |c: usize| {
+        let pairs: Vec<(&RnsPoly, &RnsPoly)> = xs
+            .iter()
+            .zip(&key.digits)
+            .map(|(x, k)| (x, &k[c]))
+            .collect();
+        RnsPoly::inner_product(&pairs, &qp, backend)
+    };
+    let (mut acc0, mut acc1) = (ip(0), ip(1));
     ctx.try_ntt_inverse(&mut acc0, &qp)?;
     ctx.try_ntt_inverse(&mut acc1, &qp)?;
     Ok((mod_down(ctx, &acc0, level)?, mod_down(ctx, &acc1, level)?))

@@ -54,7 +54,7 @@ pub fn keyswitch_klss(
     let xs: Vec<Result<RnsPoly, NeoError>> = ranges
         .par_iter()
         .map(|r| -> Result<RnsPoly, NeoError> {
-            let digit: Vec<Vec<u64>> = r.clone().map(|i| d.limb(i).to_vec()).collect();
+            let digit: Vec<&[u64]> = r.clone().map(|i| d.limb(i)).collect();
             let digit_primes: Vec<u64> = q_primes[r.clone()].to_vec();
             let table = ctx.bconv_table(&digit_primes, &t_primes);
             let conv = table.convert_exact(&digit);
@@ -82,10 +82,12 @@ pub fn keyswitch_klss(
             let digit_primes: Vec<u64> = qp_primes[range.clone()].to_vec();
             let table = ctx.bconv_table(&t_primes, &digit_primes);
             let recover = |c: usize| -> Result<Vec<Vec<u64>>, NeoError> {
-                let mut acc = RnsPoly::zero(n, t_moduli.len(), Domain::Ntt);
-                for (j, x) in xs.iter().enumerate() {
-                    acc.mul_acc_assign(x, &key.digits[j][jj][c], &t_moduli);
-                }
+                let pairs: Vec<(&RnsPoly, &RnsPoly)> = xs
+                    .iter()
+                    .zip(&key.digits)
+                    .map(|(x, k)| (x, &k[jj][c]))
+                    .collect();
+                let mut acc = RnsPoly::inner_product(&pairs, &t_moduli, params.backend);
                 ctx.try_ntt_inverse(&mut acc, &t_moduli)?;
                 // Exact centered BConv of G_ĵ into digit ĵ's limbs.
                 Ok(table.convert_exact(acc.limbs()))

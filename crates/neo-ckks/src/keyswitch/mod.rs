@@ -60,9 +60,7 @@ pub(crate) fn mod_down(
             ),
         ));
     }
-    let p_part: Vec<Vec<u64>> = (level + 1..level + 1 + k)
-        .map(|i| poly.limb(i).to_vec())
-        .collect();
+    let p_part: Vec<&[u64]> = (level + 1..level + 1 + k).map(|i| poly.limb(i)).collect();
     let table = ctx.bconv_table(ctx.p_primes(), &ctx.q_primes()[..=level]);
     let conv = table.convert_approx(&p_part);
     let q_moduli = ctx.q_moduli(level);

@@ -268,15 +268,10 @@ pub fn try_hmult(
     ctx.try_ntt_forward(&mut a1, &moduli)?;
     ctx.try_ntt_forward(&mut b0, &moduli)?;
     ctx.try_ntt_forward(&mut b1, &moduli)?;
-    let mut d0 = a0.clone();
-    d0.mul_pointwise_assign(&b0, &moduli);
-    let mut d1 = a0.clone();
-    d1.mul_pointwise_assign(&b1, &moduli);
-    let mut t = a1.clone();
-    t.mul_pointwise_assign(&b0, &moduli);
-    d1.add_assign(&t, &moduli);
-    let mut d2 = a1.clone();
-    d2.mul_pointwise_assign(&b1, &moduli);
+    let be = ctx.params().backend;
+    let mut d0 = RnsPoly::inner_product(&[(&a0, &b0)], &moduli, be);
+    let mut d1 = RnsPoly::inner_product(&[(&a0, &b1), (&a1, &b0)], &moduli, be);
+    let mut d2 = RnsPoly::inner_product(&[(&a1, &b1)], &moduli, be);
     ctx.try_ntt_inverse(&mut d0, &moduli)?;
     ctx.try_ntt_inverse(&mut d1, &moduli)?;
     ctx.try_ntt_inverse(&mut d2, &moduli)?;

@@ -1,28 +1,28 @@
-//! Pluggable compute backends for the three hot kernels.
+//! Pluggable compute backends for the hot kernels.
 //!
 //! [`ComputeBackend`] is the seam between the algorithmic drivers
-//! (`neo-ntt`'s stage loops, `neo-math::bconv`'s limb conversion,
-//! `neo-tcu`'s blocked GEMM) and the arithmetic inner loops they execute.
+//! (`neo-ntt`'s stage loops, `neo-math::bconv`'s limb conversion, the
+//! key-switch inner products over [`RnsPoly`](crate::RnsPoly), `neo-tcu`'s
+//! blocked GEMM) and the arithmetic inner loops they execute.
 //! The drivers own *what* work happens — stage ordering, counter tallies,
 //! fault-injection hooks, ABFT checks — while a backend owns *how* one
 //! stage/inner-product/tile is evaluated. Every backend must land on the
-//! **bit-identical canonical output**: all three kernels fully reduce at
+//! **bit-identical canonical output**: the kernels fully reduce at
 //! their boundary (the NTT's final stage folds `[0, 4q) → [0, q)`, the
-//! inverse scale and `mul_const` are full Shoup multiplies, bconv/GEMM
-//! reduce exact 128-bit sums with Barrett), so backends are free to hold
+//! inverse scale and `mul_const` are full Shoup multiplies, the inner
+//! products and GEMM reduce exact sums), so backends are free to hold
 //! *different lazy representatives internally* — e.g. skipping the `ω⁰ = 1`
 //! multiply scalar-side while vectorizing it uniformly — as long as every
 //! intermediate stays congruent and inside the `[0, 4q)` window.
 //!
 //! Two backends ship:
 //!
-//! * [`PortableBackend`] — the scalar Shoup/lazy-reduction code from PR 1,
-//!   moved here verbatim. Always available, the correctness anchor.
-//! * [`SimdBackend`] — lane-parallel kernels. With the `simd` cargo
-//!   feature (nightly `portable_simd`) it runs 8-wide `u64x8` arithmetic
-//!   with runtime AVX2/AVX-512 dispatch; without the feature it falls back
-//!   to manually unrolled scalar chunks so stable builds keep the same
-//!   selectable backend surface.
+//! * [`PortableBackend`] — the scalar Shoup/lazy-reduction kernels.
+//!   Always available, the correctness anchor.
+//! * [`SimdBackend`] — lane-parallel kernels: AVX-512 IFMA on stable Rust
+//!   when the CPU has it and the modulus fits 52-bit lanes, `std::simd`
+//!   under the nightly `simd` cargo feature, and the portable kernels
+//!   otherwise (see the `simd` module).
 //!
 //! Selection happens once, at engine/plan build time: an explicit
 //! [`BackendKind`] via `CkksParamsBuilder::backend(..)`, the `NEO_BACKEND`
@@ -36,6 +36,8 @@ use crate::{Modulus, ShoupMul};
 use serde::{Deserialize, Serialize};
 use std::sync::LazyLock;
 
+#[cfg(target_arch = "x86_64")]
+mod ifma;
 mod portable;
 mod simd;
 
@@ -48,8 +50,9 @@ pub use simd::SimdBackend;
 pub enum BackendKind {
     /// Scalar Shoup/lazy-reduction kernels (the PR 1 fast path).
     Portable,
-    /// Lane-parallel kernels: `std::simd` under the `simd` feature,
-    /// unrolled scalar chunks on stable builds.
+    /// Lane-parallel kernels: AVX-512 IFMA where the CPU and modulus
+    /// allow, `std::simd` under the nightly `simd` feature, portable
+    /// kernels otherwise.
     Simd,
 }
 
@@ -76,8 +79,9 @@ impl BackendKind {
     ///
     /// 1. `NEO_BACKEND=portable|scalar|simd` wins outright (unknown values
     ///    are ignored, not errors — benches sweep this variable);
-    /// 2. otherwise, with the `simd` feature compiled in and AVX2 detected
-    ///    at runtime, [`BackendKind::Simd`];
+    /// 2. otherwise [`BackendKind::Simd`] when it has a faster path on this
+    ///    CPU: AVX-512 IFMA detected at runtime (stable builds included),
+    ///    or the `simd` feature compiled in with AVX2 detected;
     /// 3. otherwise [`BackendKind::Portable`].
     pub fn detect() -> Self {
         static DETECTED: LazyLock<BackendKind> = LazyLock::new(|| {
@@ -86,7 +90,7 @@ impl BackendKind {
                     return kind;
                 }
             }
-            if cfg!(feature = "simd") && simd::lanes_available() {
+            if simd::lanes_available() {
                 return BackendKind::Simd;
             }
             BackendKind::Portable
@@ -116,7 +120,7 @@ pub fn get(kind: BackendKind) -> &'static dyn ComputeBackend {
     }
 }
 
-/// The arithmetic inner loops of the three hot kernels.
+/// The arithmetic inner loops of the hot kernels.
 ///
 /// Contract highlights (see module docs for the bit-identity argument):
 ///
@@ -128,8 +132,8 @@ pub fn get(kind: BackendKind) -> &'static dyn ComputeBackend {
 /// * `ntt_fwd_stage_final` and `ntt_scale` emit canonical `[0, q)` values.
 /// * `mul_const` accepts **arbitrary** `u64` inputs (Shoup multiplication
 ///   is sound for any multiplicand) and emits canonical values.
-/// * `bconv_ip` and `gemm` compute exact integer sums before reducing, so
-///   their outputs are independent of association order.
+/// * `bconv_ip`, `mul_sum` and `gemm` compute exact integer sums before
+///   reducing, so their outputs are independent of association order.
 pub trait ComputeBackend: Send + Sync {
     /// Which [`BackendKind`] this implementation answers to.
     fn kind(&self) -> BackendKind;
@@ -185,6 +189,13 @@ pub trait ComputeBackend: Send + Sync {
     /// (outputs may be wrong, never unsound); `u64::MAX` is always safe.
     fn bconv_ip(&self, t: &Modulus, ys: &[&[u64]], y_bound: u64, w: &[u64], out: &mut [u64]);
 
+    /// Inner product of pointwise products:
+    /// `out[c] = (Σ_i a[i][c] · b[i][c]) mod m`, the sum taken exactly and
+    /// reduced once — the key-switch IP and the HMult tensor. Every row
+    /// is as long as `out` and holds reduced values (`< m`);
+    /// `a.len() == b.len()`.
+    fn mul_sum(&self, m: &Modulus, a: &[&[u64]], b: &[&[u64]], out: &mut [u64]);
+
     /// Blocked deferred-reduction modular GEMM: `out = a·b (mod q)` for
     /// row-major `m×k` / `k×n` operands with reduced entries. Dimension
     /// checks and work-counter tallies are the caller's job
@@ -203,10 +214,10 @@ pub trait ComputeBackend: Send + Sync {
     );
 }
 
-/// The GEMM accumulation span: how many products of reduced operands fit
-/// in a `u128` accumulator without wrapping (`span·(q-1)² + (q-1) ≤
-/// u128::MAX`). Shared by both backends so their fold schedules — and thus
-/// their exact per-span sums — coincide.
+/// The accumulation span: how many products of reduced operands fit in a
+/// `u128` accumulator without wrapping (`span·(q-1)² + (q-1) ≤
+/// u128::MAX`). Shared by both backends so their GEMM fold schedules — and
+/// thus their exact per-span sums — coincide.
 pub(crate) fn gemm_span(q: &Modulus) -> usize {
     let qm1 = u128::from(q.value() - 1);
     usize::try_from((u128::MAX - qm1) / (qm1 * qm1).max(1))
@@ -242,87 +253,155 @@ mod tests {
         assert_eq!(BackendKind::default(), BackendKind::detect());
     }
 
+    /// Without an override, the default is SIMD exactly when it has a
+    /// faster path here: AVX-512 IFMA, or the nightly lanes.
+    #[test]
+    fn detect_picks_simd_exactly_when_lanes_exist() {
+        if std::env::var_os("NEO_BACKEND").is_none() {
+            assert_eq!(
+                BackendKind::detect() == BackendKind::Simd,
+                simd::lanes_available()
+            );
+        }
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512ifma") {
+            assert!(simd::lanes_available());
+            assert_eq!(SimdBackend::path(&modulus(49)), "ifma");
+        }
+        assert_eq!(
+            SimdBackend::path(&modulus(51)),
+            SimdBackend::fallback_path()
+        );
+    }
+
+    /// The moduli the kernels are checked on: the 36-bit Q/P and 48-bit
+    /// T word sizes, the 49- and 50-bit edge of the IFMA window
+    /// (`4q < 2^52`) including the largest prime inside it, and 51/61-bit
+    /// moduli that must route past it — plus a small 30-bit one.
+    fn kernel_moduli() -> Vec<Modulus> {
+        let largest = (0..(1u64 << 50))
+            .rev()
+            .find(|&q| primes::is_prime(q))
+            .unwrap();
+        let mut ms: Vec<Modulus> = [30u32, 36, 48, 49, 50, 51, 61]
+            .into_iter()
+            .map(modulus)
+            .collect();
+        ms.push(Modulus::new(largest).unwrap());
+        ms
+    }
+
     /// Every trait method agrees bit-for-bit across backends on random
     /// inputs, including unreduced `[0, 4q)` lazy values where the
-    /// contract allows them.
+    /// contract allows them, at every NTT degree from 2^4 to 2^14 (so the
+    /// narrow `half ∈ {1, 2, 4}` stages run too) and at lengths that are
+    /// not a multiple of the vector width.
     #[test]
     fn backends_agree_on_every_kernel() {
         let portable = get(BackendKind::Portable);
         let simd = get(BackendKind::Simd);
         let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-        for bits in [30u32, 36, 50, 61] {
-            let m = modulus(bits);
+        for m in kernel_moduli() {
             let q = m.value();
-            let n = 64usize;
-            let lazy: Vec<u64> = (0..n).map(|_| rng.gen_range(0..4 * q)).collect();
-            let tw: Vec<ShoupMul> = (0..n).map(|_| m.shoup(rng.gen_range(0..q))).collect();
+            let bits = m.bits();
+            for log_n in 4..=14 {
+                let n = 1usize << log_n;
+                let lazy: Vec<u64> = (0..n).map(|_| rng.gen_range(0..4 * q)).collect();
+                let tw: Vec<ShoupMul> = (0..n).map(|_| m.shoup(rng.gen_range(0..q))).collect();
 
-            // Stage kernels (uniform-twiddle path needs stage[0] = shoup(1)
-            // to match the canonical-twiddle layout the plans provide).
-            for size in [2usize, 4, 8, 16, 64] {
-                let mut stage: Vec<ShoupMul> = (0..size / 2)
-                    .map(|_| m.shoup(rng.gen_range(0..q)))
-                    .collect();
-                stage[0] = m.shoup(1);
-                let (mut a, mut b) = (lazy.clone(), lazy.clone());
-                if size >= 4 {
-                    assert_eq!(
-                        portable.ntt_fwd_stage(&m, &mut a, size, &stage),
-                        simd.ntt_fwd_stage(&m, &mut b, size, &stage)
-                    );
-                    // Lazy representatives may differ; canonical values not.
-                    for (&x, &y) in a.iter().zip(&b) {
-                        assert_eq!(x % q, y % q, "fwd stage size={size} bits={bits}");
-                        assert!(x < 4 * q && y < 4 * q);
+                // Stage kernels (uniform-twiddle path needs stage[0] = shoup(1)
+                // to match the canonical-twiddle layout the plans provide).
+                for size in (1..=log_n).map(|k| 1usize << k) {
+                    let mut stage: Vec<ShoupMul> = (0..size / 2)
+                        .map(|_| m.shoup(rng.gen_range(0..q)))
+                        .collect();
+                    stage[0] = m.shoup(1);
+                    let (mut a, mut b) = (lazy.clone(), lazy.clone());
+                    if size >= 4 {
+                        assert_eq!(
+                            portable.ntt_fwd_stage(&m, &mut a, size, &stage),
+                            simd.ntt_fwd_stage(&m, &mut b, size, &stage)
+                        );
+                        // Lazy representatives may differ; canonical values not.
+                        for (&x, &y) in a.iter().zip(&b) {
+                            assert_eq!(x % q, y % q, "fwd stage size={size} bits={bits}");
+                            assert!(x < 4 * q && y < 4 * q);
+                        }
                     }
+                    let (mut a, mut b) = (lazy.clone(), lazy.clone());
+                    assert_eq!(
+                        portable.ntt_inv_stage(&m, &mut a, size, &stage),
+                        simd.ntt_inv_stage(&m, &mut b, size, &stage)
+                    );
+                    assert_eq!(a, b, "inv stage size={size} bits={bits}");
                 }
+                let stage: Vec<ShoupMul> =
+                    (0..n / 2).map(|_| m.shoup(rng.gen_range(0..q))).collect();
                 let (mut a, mut b) = (lazy.clone(), lazy.clone());
                 assert_eq!(
-                    portable.ntt_inv_stage(&m, &mut a, size, &stage),
-                    simd.ntt_inv_stage(&m, &mut b, size, &stage)
+                    portable.ntt_fwd_stage_final(&m, &mut a, &stage),
+                    simd.ntt_fwd_stage_final(&m, &mut b, &stage)
                 );
-                assert_eq!(a, b, "inv stage size={size} bits={bits}");
+                assert_eq!(a, b, "final stage n={n} bits={bits}");
+                assert!(a.iter().all(|&v| v < q));
+
+                let (mut a, mut b) = (lazy.clone(), lazy.clone());
+                assert_eq!(
+                    portable.ntt_twist_stage(&m, &mut a, &tw),
+                    simd.ntt_twist_stage(&m, &mut b, &tw)
+                );
+                for (&x, &y) in a.iter().zip(&b) {
+                    assert_eq!(x % q, y % q, "twist n={n} bits={bits}");
+                }
+
+                let (mut a, mut b) = (lazy.clone(), lazy.clone());
+                portable.ntt_scale(&m, &mut a, &tw);
+                simd.ntt_scale(&m, &mut b, &tw);
+                assert_eq!(a, b, "scale n={n} bits={bits}");
+                assert!(a.iter().all(|&v| v < q));
             }
-            let stage: Vec<ShoupMul> = (0..n / 2).map(|_| m.shoup(rng.gen_range(0..q))).collect();
-            let (mut a, mut b) = (lazy.clone(), lazy.clone());
-            assert_eq!(
-                portable.ntt_fwd_stage_final(&m, &mut a, &stage),
-                simd.ntt_fwd_stage_final(&m, &mut b, &stage)
-            );
-            assert_eq!(a, b, "final stage bits={bits}");
-            assert!(a.iter().all(|&v| v < q));
 
-            let (mut a, mut b) = (lazy.clone(), lazy.clone());
-            assert_eq!(
-                portable.ntt_twist_stage(&m, &mut a, &tw),
-                simd.ntt_twist_stage(&m, &mut b, &tw)
-            );
-            for (&x, &y) in a.iter().zip(&b) {
-                assert_eq!(x % q, y % q, "twist bits={bits}");
+            for len in [1usize, 5, 13, 64 + 3, 1000 + 7] {
+                let s = m.shoup(rng.gen_range(0..q));
+                // Arbitrary words, then reduced ones: the IFMA path takes
+                // only chunks below 2^52.
+                for raw in [
+                    (0..len).map(|_| rng.gen()).collect::<Vec<u64>>(),
+                    (0..len).map(|_| rng.gen_range(0..q)).collect(),
+                ] {
+                    let (mut a, mut b) = (vec![0u64; len], vec![0u64; len]);
+                    portable.mul_const(&m, s, &raw, &mut a);
+                    simd.mul_const(&m, s, &raw, &mut b);
+                    assert_eq!(a, b, "mul_const len={len} bits={bits}");
+                }
+
+                for terms in [1usize, 2, 5] {
+                    let rows: Vec<Vec<u64>> = (0..2 * terms)
+                        .map(|_| (0..len).map(|_| rng.gen_range(0..q)).collect())
+                        .collect();
+                    let (xs, ys) = rows.split_at(terms);
+                    let xs: Vec<&[u64]> = xs.iter().map(Vec::as_slice).collect();
+                    let ys: Vec<&[u64]> = ys.iter().map(Vec::as_slice).collect();
+                    let w: Vec<u64> = (0..terms).map(|_| rng.gen_range(0..q)).collect();
+                    let (mut a, mut b) = (vec![0u64; len], vec![0u64; len]);
+                    portable.bconv_ip(&m, &xs, q, &w, &mut a);
+                    simd.bconv_ip(&m, &xs, q, &w, &mut b);
+                    assert_eq!(a, b, "bconv_ip len={len} terms={terms} bits={bits}");
+
+                    let (mut a, mut b) = (vec![0u64; len], vec![0u64; len]);
+                    portable.mul_sum(&m, &xs, &ys, &mut a);
+                    simd.mul_sum(&m, &xs, &ys, &mut b);
+                    assert_eq!(a, b, "mul_sum len={len} terms={terms} bits={bits}");
+                    let expect: Vec<u64> = (0..len)
+                        .map(|c| {
+                            xs.iter()
+                                .zip(&ys)
+                                .fold(0, |acc, (x, y)| m.add(acc, m.mul(x[c], y[c])))
+                        })
+                        .collect();
+                    assert_eq!(a, expect, "mul_sum is the modular inner product");
+                }
             }
-
-            let (mut a, mut b) = (lazy.clone(), lazy.clone());
-            portable.ntt_scale(&m, &mut a, &tw);
-            simd.ntt_scale(&m, &mut b, &tw);
-            assert_eq!(a, b, "scale bits={bits}");
-            assert!(a.iter().all(|&v| v < q));
-
-            let s = m.shoup(rng.gen_range(0..q));
-            let raw: Vec<u64> = (0..n + 3).map(|_| rng.gen()).collect();
-            let (mut a, mut b) = (vec![0u64; n + 3], vec![0u64; n + 3]);
-            portable.mul_const(&m, s, &raw, &mut a);
-            simd.mul_const(&m, s, &raw, &mut b);
-            assert_eq!(a, b, "mul_const bits={bits}");
-
-            let rows: Vec<Vec<u64>> = (0..5)
-                .map(|_| (0..n + 3).map(|_| rng.gen_range(0..q)).collect())
-                .collect();
-            let ys: Vec<&[u64]> = rows.iter().map(Vec::as_slice).collect();
-            let w: Vec<u64> = (0..5).map(|_| rng.gen_range(0..q)).collect();
-            let (mut a, mut b) = (vec![0u64; n + 3], vec![0u64; n + 3]);
-            portable.bconv_ip(&m, &ys, q, &w, &mut a);
-            simd.bconv_ip(&m, &ys, q, &w, &mut b);
-            assert_eq!(a, b, "bconv_ip bits={bits}");
 
             let (gm, gk, gn) = (5usize, 600usize, 19usize);
             let ga: Vec<u64> = (0..gm * gk).map(|_| rng.gen_range(0..q)).collect();

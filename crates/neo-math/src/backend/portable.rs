@@ -1,7 +1,6 @@
-//! The scalar Shoup/lazy-reduction backend — PR 1's fast-path inner loops,
-//! relocated behind the [`ComputeBackend`] seam unchanged. This is the
-//! correctness anchor every other backend is property-tested against, and
-//! the fallback on targets without better options.
+//! The scalar Shoup/lazy-reduction backend. This is the correctness
+//! anchor every other backend is property-tested against, and the
+//! fallback on targets without better options.
 
 use super::{gemm_span, BackendKind, ComputeBackend};
 use crate::{Modulus, ShoupMul};
@@ -132,6 +131,23 @@ impl ComputeBackend for PortableBackend {
                 acc += row[c] as u128 * wi as u128;
             }
             *o = t.reduce_u128(acc);
+        }
+    }
+
+    fn mul_sum(&self, m: &Modulus, a: &[&[u64]], b: &[&[u64]], out: &mut [u64]) {
+        // Fold below q after every `span` products so the u128 sum never
+        // wraps (one fold per coefficient at realistic term counts).
+        let span = gemm_span(m);
+        for (c, o) in out.iter_mut().enumerate() {
+            let mut acc = 0u64;
+            for (xs, ys) in a.chunks(span).zip(b.chunks(span)) {
+                let mut s = u128::from(acc);
+                for (x, y) in xs.iter().zip(ys) {
+                    s += u128::from(x[c]) * u128::from(y[c]);
+                }
+                acc = m.reduce_u128(s);
+            }
+            *o = acc;
         }
     }
 

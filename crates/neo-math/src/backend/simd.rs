@@ -1,73 +1,87 @@
 //! Lane-parallel backend.
 //!
-//! With the `simd` cargo feature (nightly, `portable_simd`) every kernel
-//! runs 8-wide `u64x8` arithmetic. The lane layout follows the kernels'
-//! natural parallelism:
+//! Each kernel call picks one of three paths, from the CPU and the
+//! modulus it is given:
 //!
-//! * **NTT stages** vectorize across the `j` index *within* a stage — 8
-//!   butterflies per iteration, `lo[j..j+8]`/`hi[j..j+8]` as the two
-//!   operand vectors. The merged twist stage deinterleaves adjacent pairs
-//!   into even/odd vectors instead. Unlike the portable path there is no
-//!   `ω⁰ = 1` scalar shortcut: lane 0 multiplies by the Shoup double of 1
-//!   like every other lane, producing a *different lazy representative*
-//!   (off by a multiple of `q`, still `< 4q`) and the *same* canonical
-//!   output once the final stage folds — which is exactly why the seam's
-//!   contract demands bit-identity at kernel boundaries, not lockstep
-//!   intermediates.
-//! * **bconv** vectorizes across 8 coefficients, accumulating the exact
-//!   128-bit inner product as an `(hi, lo)` vector pair with explicit
-//!   carries — or, when the caller certifies every factor below `2^52`
-//!   and the CPU has AVX-512 IFMA, as a base-2^52 pair via
-//!   `vpmadd52{l,h}uq` at one µop per half.
-//! * **GEMM** vectorizes across 8 output columns with the same `(hi, lo)`
-//!   accumulator scheme and the same fold span as the portable kernel, so
-//!   per-span sums (and therefore outputs) match exactly.
+//! 1. **AVX-512 IFMA** (the `ifma` module, stable Rust): when the CPU has
+//!    `avx512ifma` and `4q < 2^52`, which every Q, P and T prime of the
+//!    stock parameter sets meets. Covers every NTT method, `mul_const`,
+//!    `bconv_ip` and `mul_sum` with 8-lane 52-bit multiply-accumulates.
+//!    Shoup quotients are computed exactly, so even the inverse stages'
+//!    lazy representatives match the portable kernels bit for bit.
+//! 2. **`std::simd`** (the `vector` module, nightly, `simd` cargo
+//!    feature): 8-wide `u64x8` kernels with AVX2/AVX-512 dispatch, for
+//!    calls the IFMA path does not take, and for GEMM.
+//! 3. **Scalar**: otherwise, the [`PortableBackend`] kernels themselves.
 //!
-//! Stages too narrow to fill a vector from one block (`size/2 < 8`)
-//! vectorize *across blocks* instead, via compile-time swizzles — see
-//! `stage_lazy_narrow`.
-//!
-//! There is no 64×64 vector multiply on AVX2, so `mul_hi`/widening
-//! products are built from four 32×32→64 partials (`vpmuludq`, issued
-//! through per-ISA inline asm — see the `kernels` module doc for why the
-//! obvious spellings scalarize) plus a carry layer. Kernels are compiled
-//! once generically and re-instantiated inside
-//! `#[target_feature(enable = "avx2")]` / AVX-512 wrappers (dispatched
-//! once via `is_x86_feature_detected!`), so the build needs no global
-//! `RUSTFLAGS` to emit 256/512-bit code.
-//!
-//! Without the feature (stable toolchains) the same backend stays
-//! selectable but the kernels fall back to manually unrolled scalar
-//! chunks — identical outputs, modest ILP gains, no nightly required.
+//! Whichever path runs, outputs are bit-identical to
+//! [`PortableBackend`] under the [`ComputeBackend`] contract.
+//! [`SimdBackend::path`] reports which path a modulus gets.
 
-use super::{BackendKind, ComputeBackend};
+#[cfg(target_arch = "x86_64")]
+use super::ifma::{self, Ifma};
+use super::{BackendKind, ComputeBackend, PortableBackend};
 use crate::{Modulus, ShoupMul};
 
-/// Lane-parallel kernels (`std::simd` under the `simd` feature, unrolled
-/// scalar chunks otherwise). Bit-identical to
-/// [`PortableBackend`](super::PortableBackend) at every kernel boundary.
+/// Lane-parallel kernels: AVX-512 IFMA where the CPU and modulus allow,
+/// otherwise `std::simd` (nightly `simd` feature) or the portable scalar
+/// kernels. Bit-identical to [`PortableBackend`] at every kernel boundary.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimdBackend;
 
-/// True when this build would actually benefit from [`BackendKind::Simd`]
-/// by default: the `simd` feature is compiled in and the CPU offers wide
-/// lanes (any non-x86 target with the feature counts — `portable_simd`
-/// lowers to whatever vector ISA is native there).
+/// The kernels a call runs when the IFMA path does not apply.
 #[cfg(feature = "simd")]
-pub(super) fn lanes_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        vector::isa() != vector::Isa::Baseline
+const FALLBACK: vector::Lanes = vector::Lanes;
+#[cfg(not(feature = "simd"))]
+const FALLBACK: PortableBackend = PortableBackend;
+
+impl SimdBackend {
+    /// The path the NTT and `mul_const` kernels take for modulus `m` in
+    /// this process: `"ifma"`, `"vector"` (`std::simd`) or `"scalar"`.
+    /// `bconv_ip` and `mul_sum` follow the same rule as long as their
+    /// factors fit 52 bits and they sum at most 4096 terms; GEMM always
+    /// takes [`SimdBackend::fallback_path`].
+    pub fn path(m: &Modulus) -> &'static str {
+        #[cfg(target_arch = "x86_64")]
+        if Ifma::for_modulus(m).is_some() {
+            return "ifma";
+        }
+        let _ = m;
+        Self::fallback_path()
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        true
+
+    /// The path of calls the IFMA kernels do not take: `"vector"` with
+    /// the `simd` feature, `"scalar"` without.
+    pub fn fallback_path() -> &'static str {
+        if cfg!(feature = "simd") {
+            "vector"
+        } else {
+            "scalar"
+        }
     }
 }
 
-#[cfg(not(feature = "simd"))]
+/// True when [`BackendKind::Simd`] beats portable on this CPU: it has
+/// AVX-512 IFMA, or the `simd` feature is compiled in and the CPU offers
+/// wide lanes (any non-x86 target with the feature counts —
+/// `portable_simd` lowers to whatever vector ISA is native there).
 pub(super) fn lanes_available() -> bool {
-    false
+    #[cfg(target_arch = "x86_64")]
+    if Ifma::detect().is_some() {
+        return true;
+    }
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    {
+        vector::isa() != vector::Isa::Baseline
+    }
+    #[cfg(all(feature = "simd", not(target_arch = "x86_64")))]
+    {
+        true
+    }
+    #[cfg(not(feature = "simd"))]
+    {
+        false
+    }
 }
 
 impl ComputeBackend for SimdBackend {
@@ -76,31 +90,71 @@ impl ComputeBackend for SimdBackend {
     }
 
     fn ntt_twist_stage(&self, m: &Modulus, x: &mut [u64], psi_rev: &[ShoupMul]) -> u64 {
-        active::twist(m, x, psi_rev)
+        #[cfg(target_arch = "x86_64")]
+        if let Some(k) = Ifma::for_modulus(m) {
+            return k.twist(m, x, psi_rev);
+        }
+        FALLBACK.ntt_twist_stage(m, x, psi_rev)
     }
 
     fn ntt_fwd_stage(&self, m: &Modulus, x: &mut [u64], size: usize, stage: &[ShoupMul]) -> u64 {
-        active::stage_lazy(m, x, size, stage)
+        #[cfg(target_arch = "x86_64")]
+        if let Some(k) = Ifma::for_modulus(m) {
+            return k.stage(m, x, size, stage);
+        }
+        FALLBACK.ntt_fwd_stage(m, x, size, stage)
     }
 
     fn ntt_fwd_stage_final(&self, m: &Modulus, x: &mut [u64], stage: &[ShoupMul]) -> u64 {
-        active::stage_final(m, x, stage)
+        #[cfg(target_arch = "x86_64")]
+        if let Some(k) = Ifma::for_modulus(m) {
+            return k.stage_final(m, x, stage);
+        }
+        FALLBACK.ntt_fwd_stage_final(m, x, stage)
     }
 
     fn ntt_inv_stage(&self, m: &Modulus, x: &mut [u64], size: usize, stage: &[ShoupMul]) -> u64 {
-        active::stage_lazy(m, x, size, stage)
+        #[cfg(target_arch = "x86_64")]
+        if let Some(k) = Ifma::for_modulus(m) {
+            return k.stage(m, x, size, stage);
+        }
+        FALLBACK.ntt_inv_stage(m, x, size, stage)
     }
 
     fn ntt_scale(&self, m: &Modulus, x: &mut [u64], tw: &[ShoupMul]) {
-        active::scale(m, x, tw);
+        #[cfg(target_arch = "x86_64")]
+        if let Some(k) = Ifma::for_modulus(m) {
+            return k.scale(m, x, tw);
+        }
+        FALLBACK.ntt_scale(m, x, tw)
     }
 
     fn mul_const(&self, m: &Modulus, s: ShoupMul, x: &[u64], out: &mut [u64]) {
-        active::mul_const(m, s, x, out);
+        #[cfg(target_arch = "x86_64")]
+        if let Some(k) = Ifma::for_modulus(m) {
+            return k.mul_const(m, s, x, out);
+        }
+        FALLBACK.mul_const(m, s, x, out)
     }
 
     fn bconv_ip(&self, t: &Modulus, ys: &[&[u64]], y_bound: u64, w: &[u64], out: &mut [u64]) {
-        active::bconv_ip(t, ys, y_bound, w, out);
+        #[cfg(target_arch = "x86_64")]
+        if y_bound <= 1 << 52 && ys.len() <= ifma::MAX_TERMS {
+            if let Some(k) = Ifma::for_modulus(t) {
+                return k.bconv_ip(t, ys, w, out);
+            }
+        }
+        FALLBACK.bconv_ip(t, ys, y_bound, w, out)
+    }
+
+    fn mul_sum(&self, m: &Modulus, a: &[&[u64]], b: &[&[u64]], out: &mut [u64]) {
+        #[cfg(target_arch = "x86_64")]
+        if a.len() <= ifma::MAX_TERMS {
+            if let Some(k) = Ifma::for_modulus(m) {
+                return k.mul_sum(m, a, b, out);
+            }
+        }
+        FALLBACK.mul_sum(m, a, b, out)
     }
 
     fn gemm(
@@ -113,24 +167,107 @@ impl ComputeBackend for SimdBackend {
         n: usize,
         out: &mut [u64],
     ) {
-        active::gemm(q, a, b, m, k, n, out);
+        FALLBACK.gemm(q, a, b, m, k, n, out);
     }
 }
 
-#[cfg(feature = "simd")]
-mod active {
-    pub use super::vector::dispatched::*;
-}
-
-#[cfg(not(feature = "simd"))]
-mod active {
-    pub use super::unrolled::*;
-}
-
-/// `std::simd` kernels plus per-ISA instantiations (nightly only).
+/// `std::simd` kernels plus per-ISA instantiations (nightly only), 8-wide
+/// `u64x8` arithmetic laid out along each kernel's natural parallelism:
+///
+/// * **NTT stages** vectorize across the `j` index *within* a stage — 8
+///   butterflies per iteration, `lo[j..j+8]`/`hi[j..j+8]` as the two
+///   operand vectors; the merged twist stage deinterleaves adjacent pairs
+///   instead, and stages too narrow to fill a vector from one block
+///   (`size/2 < 8`) vectorize *across blocks* via compile-time swizzles
+///   (`stage_lazy_narrow`). There is no `ω⁰ = 1` scalar shortcut: lane 0
+///   multiplies by the Shoup pair of 1 like every other lane, giving a
+///   different lazy representative with the same residue.
+/// * **bconv** and **GEMM** vectorize across 8 output columns and keep the
+///   exact 128-bit sum as an `(hi, lo)` vector pair with explicit carries;
+///   GEMM folds at the same span as the portable kernel, so per-span sums
+///   (and outputs) match exactly.
+///
+/// There is no 64×64 vector multiply on AVX2, so `mul_hi`/widening
+/// products are built from four 32×32→64 partials (`vpmuludq`, issued
+/// through per-ISA inline asm — see the `kernels` module doc for why the
+/// obvious spellings scalarize) plus a carry layer. Kernels are compiled
+/// once generically and re-instantiated inside
+/// `#[target_feature(enable = "avx2")]` / AVX-512 wrappers (dispatched
+/// once via `is_x86_feature_detected!`), so the build needs no global
+/// `RUSTFLAGS` to emit 256/512-bit code.
 #[cfg(feature = "simd")]
 mod vector {
+    use super::{BackendKind, ComputeBackend, PortableBackend};
+    use crate::{Modulus, ShoupMul};
     use std::sync::LazyLock;
+
+    /// The `std::simd` kernels as a backend: [`super::SimdBackend`]'s
+    /// fallback when the IFMA path does not apply.
+    #[derive(Debug, Clone, Copy)]
+    pub struct Lanes;
+
+    impl ComputeBackend for Lanes {
+        fn kind(&self) -> BackendKind {
+            BackendKind::Simd
+        }
+
+        fn ntt_twist_stage(&self, m: &Modulus, x: &mut [u64], psi_rev: &[ShoupMul]) -> u64 {
+            dispatched::twist(m, x, psi_rev)
+        }
+
+        fn ntt_fwd_stage(
+            &self,
+            m: &Modulus,
+            x: &mut [u64],
+            size: usize,
+            stage: &[ShoupMul],
+        ) -> u64 {
+            dispatched::stage_lazy(m, x, size, stage)
+        }
+
+        fn ntt_fwd_stage_final(&self, m: &Modulus, x: &mut [u64], stage: &[ShoupMul]) -> u64 {
+            dispatched::stage_final(m, x, stage)
+        }
+
+        fn ntt_inv_stage(
+            &self,
+            m: &Modulus,
+            x: &mut [u64],
+            size: usize,
+            stage: &[ShoupMul],
+        ) -> u64 {
+            dispatched::stage_lazy(m, x, size, stage)
+        }
+
+        fn ntt_scale(&self, m: &Modulus, x: &mut [u64], tw: &[ShoupMul]) {
+            dispatched::scale(m, x, tw);
+        }
+
+        fn mul_const(&self, m: &Modulus, s: ShoupMul, x: &[u64], out: &mut [u64]) {
+            dispatched::mul_const(m, s, x, out);
+        }
+
+        fn bconv_ip(&self, t: &Modulus, ys: &[&[u64]], _y_bound: u64, w: &[u64], out: &mut [u64]) {
+            dispatched::bconv_ip(t, ys, w, out);
+        }
+
+        fn mul_sum(&self, m: &Modulus, a: &[&[u64]], b: &[&[u64]], out: &mut [u64]) {
+            PortableBackend.mul_sum(m, a, b, out);
+        }
+
+        fn gemm(
+            &self,
+            q: &Modulus,
+            a: &[u64],
+            b: &[u64],
+            m: usize,
+            k: usize,
+            n: usize,
+            out: &mut [u64],
+        ) {
+            dispatched::gemm(q, a, b, m, k, n, out);
+        }
+    }
 
     /// Widest vector path the host CPU supports, probed once.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,23 +298,6 @@ mod vector {
             Isa::Baseline
         });
         *ISA
-    }
-
-    /// AVX-512 IFMA (`vpmadd52{l,h}uq`) availability, probed once. Kept
-    /// separate from [`Isa`] because IFMA only changes one kernel's inner
-    /// loop (the bconv inner product) rather than the whole dispatch tier.
-    pub fn has_ifma() -> bool {
-        static IFMA: LazyLock<bool> = LazyLock::new(|| {
-            #[cfg(target_arch = "x86_64")]
-            {
-                std::arch::is_x86_feature_detected!("avx512ifma")
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            {
-                false
-            }
-        });
-        *IFMA
     }
 
     /// The generic kernel bodies, parameterized over the one primitive
@@ -692,59 +812,6 @@ mod vector {
             }
         }
 
-        /// IFMA inner product: when every factor fits in 52 bits (the
-        /// caller certifies the residue bound, and `w < t < 2^52`), each
-        /// product fits the native 52×52→104 multiply-add, so
-        /// `vpmadd52luq`/`vpmadd52huq` accumulate the exact sum as a
-        /// base-2^52 `(hi, lo)` pair — one µop per half versus the ~15 of
-        /// the 4-partial `mac_wide` path. Lane overflow needs
-        /// `ys.len() ≤ 2^12` terms (each half grows by `< 2^52` per term);
-        /// the dispatcher enforces that bound too. The sum is then reduced
-        /// canonically — `hi·2^52 + lo ≡ hi·(2^52 mod t) + lo (mod t)`,
-        /// the high term by any-input lazy Shoup, the low by one-round
-        /// Barrett, both in `[0, 2t)` — so the output matches the portable
-        /// `reduce_u128` bit for bit by value.
-        #[cfg(target_arch = "x86_64")]
-        #[inline(always)]
-        pub fn bconv_ip_ifma(t: &Modulus, ys: &[&[u64]], w: &[u64], out: &mut [u64]) {
-            use core::arch::x86_64::{__m512i, _mm512_madd52hi_epu64, _mm512_madd52lo_epu64};
-            let n = out.len();
-            let q = t.value();
-            let r52 = t.shoup(((1u128 << 52) % u128::from(q)) as u64);
-            let mu = ((1u128 << 64) / u128::from(q)) as u64;
-            let (rv, rsv, muv) = (splat(r52.w), splat(r52.w_shoup), splat(mu));
-            let (qv, tqv) = (splat(q), splat(2 * q));
-            let mut c = 0;
-            while c + LANES <= n {
-                let mut hi = __m512i::from(u64x8::splat(0));
-                let mut lo = hi;
-                for (row, &wi) in ys.iter().zip(w) {
-                    let y = __m512i::from(u64x8::from_slice(&row[c..]));
-                    let wv = __m512i::from(splat(wi));
-                    // SAFETY: only instantiated inside the `ifma` wrapper,
-                    // entered after `is_x86_feature_detected!("avx512ifma")`.
-                    unsafe {
-                        lo = _mm512_madd52lo_epu64(lo, y, wv);
-                        hi = _mm512_madd52hi_epu64(hi, y, wv);
-                    }
-                }
-                let (hi, lo): (u64x8, u64x8) = (hi.into(), lo.into());
-                let h = mul_shoup_lazy::<Avx512Mul>(hi, rv, rsv, qv);
-                let rem = lo - mul_hi::<Avx512Mul>(lo, muv) * qv;
-                let s = cond_sub(h + rem, tqv);
-                cond_sub(s, qv).copy_to_slice(&mut out[c..c + LANES]);
-                c += LANES;
-            }
-            while c < n {
-                let mut acc = 0u128;
-                for (row, &wi) in ys.iter().zip(w) {
-                    acc += u128::from(row[c]) * u128::from(wi);
-                }
-                out[c] = t.reduce_u128(acc);
-                c += 1;
-            }
-        }
-
         /// One register-resident tile of `V` vectors (`V·8` output
         /// columns) for row `i`: the `(hi, lo)` accumulators live in
         /// registers across the whole `k` loop, folding below `q` at the
@@ -895,19 +962,6 @@ mod vector {
     isa_module!(avx2, "avx2", Avx2Mul);
     isa_module!(avx512, "avx512f,avx512dq,avx512vl,avx512bw", Avx512Mul);
 
-    /// The IFMA envelope: the avx512 tier's features plus `avx512ifma`,
-    /// wrapping only the one kernel whose inner loop the extension changes.
-    #[cfg(target_arch = "x86_64")]
-    pub mod ifma {
-        use super::kernels;
-        use crate::Modulus;
-
-        #[target_feature(enable = "avx512f,avx512dq,avx512vl,avx512bw,avx512ifma")]
-        pub unsafe fn bconv_ip(t: &Modulus, ys: &[&[u64]], w: &[u64], out: &mut [u64]) {
-            kernels::bconv_ip_ifma(t, ys, w, out)
-        }
-    }
-
     /// Safe entry points: pick the widest instantiation the CPU supports.
     /// The `unsafe` calls are sound because `isa()` proved the features.
     pub mod dispatched {
@@ -942,43 +996,7 @@ mod vector {
         dispatched_fn!(stage_final(m: &Modulus, x: &mut [u64], stage: &[ShoupMul]) -> u64);
         dispatched_fn!(scale(m: &Modulus, x: &mut [u64], tw: &[ShoupMul]) -> ());
         dispatched_fn!(mul_const(m: &Modulus, s: ShoupMul, x: &[u64], out: &mut [u64]) -> ());
-        /// Dispatched by hand rather than through `dispatched_fn!`: on the
-        /// AVX-512 tier the inner product additionally upgrades to the
-        /// IFMA kernel when every factor is certified below `2^52`
-        /// (`y_bound` from the caller; `w < t` by contract) and the term
-        /// count cannot overflow a base-2^52 lane accumulator.
-        pub fn bconv_ip(t: &Modulus, ys: &[&[u64]], y_bound: u64, w: &[u64], out: &mut [u64]) {
-            #[cfg(target_arch = "x86_64")]
-            {
-                match super::isa() {
-                    super::Isa::Avx512 => {
-                        const FITS52: u64 = 1 << 52;
-                        if super::has_ifma()
-                            && t.value() < FITS52
-                            && y_bound <= FITS52
-                            && ys.len() <= 1 << 12
-                        {
-                            // SAFETY: avx512ifma (plus the avx512 tier)
-                            // proven by `has_ifma()` + the Avx512 arm.
-                            unsafe { super::ifma::bconv_ip(t, ys, w, out) }
-                        } else {
-                            // SAFETY: features proven by the Avx512 arm.
-                            unsafe { super::avx512::bconv_ip(t, ys, w, out) }
-                        }
-                    }
-                    // SAFETY: avx2 proven by the Avx2 arm.
-                    super::Isa::Avx2 => unsafe { super::avx2::bconv_ip(t, ys, w, out) },
-                    super::Isa::Baseline => {
-                        super::kernels::bconv_ip::<super::kernels::GenericMul>(t, ys, w, out)
-                    }
-                }
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            {
-                let _ = y_bound;
-                super::kernels::bconv_ip::<super::kernels::GenericMul>(t, ys, w, out)
-            }
-        }
+        dispatched_fn!(bconv_ip(t: &Modulus, ys: &[&[u64]], w: &[u64], out: &mut [u64]) -> ());
         dispatched_fn!(
             gemm(
                 q: &Modulus,
@@ -990,208 +1008,5 @@ mod vector {
                 out: &mut [u64],
             ) -> ()
         );
-    }
-}
-
-/// Stable fallback: the same kernel surface with 4-way manually unrolled
-/// scalar bodies. Outputs are canonical and therefore identical to both
-/// the portable and the vectorized paths; the unroll buys instruction-
-/// level parallelism (four independent Shoup chains in flight) without
-/// nightly features.
-#[cfg(not(feature = "simd"))]
-mod unrolled {
-    use crate::backend::gemm_span;
-    use crate::{Modulus, ShoupMul};
-
-    #[inline(always)]
-    fn cond_sub(v: u64, c: u64) -> u64 {
-        if v >= c {
-            v - c
-        } else {
-            v
-        }
-    }
-
-    pub fn twist(m: &Modulus, x: &mut [u64], psi_rev: &[ShoupMul]) -> u64 {
-        let two_q = 2 * m.value();
-        let n = x.len();
-        let mut chunks = x.chunks_exact_mut(8);
-        let mut tws = psi_rev.chunks_exact(8);
-        for (c, s) in (&mut chunks).zip(&mut tws) {
-            let u0 = m.mul_shoup_lazy(c[0], s[0]);
-            let t0 = m.mul_shoup_lazy(c[1], s[1]);
-            let u1 = m.mul_shoup_lazy(c[2], s[2]);
-            let t1 = m.mul_shoup_lazy(c[3], s[3]);
-            let u2 = m.mul_shoup_lazy(c[4], s[4]);
-            let t2 = m.mul_shoup_lazy(c[5], s[5]);
-            let u3 = m.mul_shoup_lazy(c[6], s[6]);
-            let t3 = m.mul_shoup_lazy(c[7], s[7]);
-            c[0] = u0 + t0;
-            c[1] = u0 + two_q - t0;
-            c[2] = u1 + t1;
-            c[3] = u1 + two_q - t1;
-            c[4] = u2 + t2;
-            c[5] = u2 + two_q - t2;
-            c[6] = u3 + t3;
-            c[7] = u3 + two_q - t3;
-        }
-        for (pair, s) in chunks
-            .into_remainder()
-            .chunks_exact_mut(2)
-            .zip(tws.remainder().chunks_exact(2))
-        {
-            let u = m.mul_shoup_lazy(pair[0], s[0]);
-            let t = m.mul_shoup_lazy(pair[1], s[1]);
-            pair[0] = u + t;
-            pair[1] = u + two_q - t;
-        }
-        (n / 2) as u64
-    }
-
-    pub fn stage_lazy(m: &Modulus, x: &mut [u64], size: usize, stage: &[ShoupMul]) -> u64 {
-        let two_q = 2 * m.value();
-        let half = size / 2;
-        let mut butterflies = 0u64;
-        for block in x.chunks_exact_mut(size) {
-            let (lo, hi) = block.split_at_mut(half);
-            let mut j = 0;
-            while j + 4 <= half {
-                let u0 = cond_sub(lo[j], two_q);
-                let u1 = cond_sub(lo[j + 1], two_q);
-                let u2 = cond_sub(lo[j + 2], two_q);
-                let u3 = cond_sub(lo[j + 3], two_q);
-                let t0 = m.mul_shoup_lazy(hi[j], stage[j]);
-                let t1 = m.mul_shoup_lazy(hi[j + 1], stage[j + 1]);
-                let t2 = m.mul_shoup_lazy(hi[j + 2], stage[j + 2]);
-                let t3 = m.mul_shoup_lazy(hi[j + 3], stage[j + 3]);
-                lo[j] = u0 + t0;
-                lo[j + 1] = u1 + t1;
-                lo[j + 2] = u2 + t2;
-                lo[j + 3] = u3 + t3;
-                hi[j] = u0 + two_q - t0;
-                hi[j + 1] = u1 + two_q - t1;
-                hi[j + 2] = u2 + two_q - t2;
-                hi[j + 3] = u3 + two_q - t3;
-                j += 4;
-            }
-            while j < half {
-                let u = cond_sub(lo[j], two_q);
-                let t = m.mul_shoup_lazy(hi[j], stage[j]);
-                lo[j] = u + t;
-                hi[j] = u + two_q - t;
-                j += 1;
-            }
-            butterflies += half as u64;
-        }
-        butterflies
-    }
-
-    pub fn stage_final(m: &Modulus, x: &mut [u64], stage: &[ShoupMul]) -> u64 {
-        let q = m.value();
-        let two_q = 2 * q;
-        let half = x.len() / 2;
-        let (lo, hi) = x.split_at_mut(half);
-        for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(stage) {
-            let u = cond_sub(*a, two_q);
-            let t = m.mul_shoup_lazy(*b, w);
-            *a = cond_sub(cond_sub(u + t, two_q), q);
-            *b = cond_sub(cond_sub(u + two_q - t, two_q), q);
-        }
-        half as u64
-    }
-
-    pub fn scale(m: &Modulus, x: &mut [u64], tw: &[ShoupMul]) {
-        let mut chunks = x.chunks_exact_mut(4);
-        let mut tws = tw.chunks_exact(4);
-        for (c, s) in (&mut chunks).zip(&mut tws) {
-            let r0 = m.mul_shoup(c[0], s[0]);
-            let r1 = m.mul_shoup(c[1], s[1]);
-            let r2 = m.mul_shoup(c[2], s[2]);
-            let r3 = m.mul_shoup(c[3], s[3]);
-            c[0] = r0;
-            c[1] = r1;
-            c[2] = r2;
-            c[3] = r3;
-        }
-        for (v, &s) in chunks.into_remainder().iter_mut().zip(tws.remainder()) {
-            *v = m.mul_shoup(*v, s);
-        }
-    }
-
-    pub fn mul_const(m: &Modulus, s: ShoupMul, x: &[u64], out: &mut [u64]) {
-        let mut xs = x.chunks_exact(4);
-        let mut os = out.chunks_exact_mut(4);
-        for (xc, oc) in (&mut xs).zip(&mut os) {
-            oc[0] = m.mul_shoup(xc[0], s);
-            oc[1] = m.mul_shoup(xc[1], s);
-            oc[2] = m.mul_shoup(xc[2], s);
-            oc[3] = m.mul_shoup(xc[3], s);
-        }
-        for (&v, o) in xs.remainder().iter().zip(os.into_remainder()) {
-            *o = m.mul_shoup(v, s);
-        }
-    }
-
-    pub fn bconv_ip(t: &Modulus, ys: &[&[u64]], _y_bound: u64, w: &[u64], out: &mut [u64]) {
-        let n = out.len();
-        let mut c = 0;
-        while c + 4 <= n {
-            let (mut a0, mut a1, mut a2, mut a3) = (0u128, 0u128, 0u128, 0u128);
-            for (row, &wi) in ys.iter().zip(w) {
-                let wi = wi as u128;
-                a0 += row[c] as u128 * wi;
-                a1 += row[c + 1] as u128 * wi;
-                a2 += row[c + 2] as u128 * wi;
-                a3 += row[c + 3] as u128 * wi;
-            }
-            out[c] = t.reduce_u128(a0);
-            out[c + 1] = t.reduce_u128(a1);
-            out[c + 2] = t.reduce_u128(a2);
-            out[c + 3] = t.reduce_u128(a3);
-            c += 4;
-        }
-        while c < n {
-            let mut acc = 0u128;
-            for (row, &wi) in ys.iter().zip(w) {
-                acc += row[c] as u128 * wi as u128;
-            }
-            out[c] = t.reduce_u128(acc);
-            c += 1;
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub fn gemm(q: &Modulus, a: &[u64], b: &[u64], m: usize, k: usize, n: usize, out: &mut [u64]) {
-        let span = gemm_span(q);
-        let vn = n - n % 4;
-        let mut acc = vec![0u128; n];
-        for i in 0..m {
-            acc.fill(0);
-            let a_row = &a[i * k..(i + 1) * k];
-            for t0 in (0..k).step_by(span) {
-                for (t, &ai) in a_row.iter().enumerate().skip(t0).take(span) {
-                    let ai = u128::from(ai);
-                    let brow = &b[t * n..(t + 1) * n];
-                    let mut j = 0;
-                    while j < vn {
-                        acc[j] += ai * u128::from(brow[j]);
-                        acc[j + 1] += ai * u128::from(brow[j + 1]);
-                        acc[j + 2] += ai * u128::from(brow[j + 2]);
-                        acc[j + 3] += ai * u128::from(brow[j + 3]);
-                        j += 4;
-                    }
-                    while j < n {
-                        acc[j] += ai * u128::from(brow[j]);
-                        j += 1;
-                    }
-                }
-                for s in acc.iter_mut() {
-                    *s = u128::from(q.reduce_u128(*s));
-                }
-            }
-            for (o, &s) in out[i * n..(i + 1) * n].iter_mut().zip(&acc) {
-                *o = s as u64;
-            }
-        }
     }
 }

@@ -160,21 +160,23 @@ impl BconvTable {
         }
     }
 
-    /// Approximate conversion of whole limbs (`x[limb][coeff]` layout).
+    /// Approximate conversion of whole limbs (`x[limb][coeff]` layout),
+    /// borrowed in place (`&[Vec<u64>]` or `&[&[u64]]`).
     ///
     /// # Panics
     ///
     /// Panics if limb counts do not match the table's bases.
-    pub fn convert_approx(&self, x: &[Vec<u64>]) -> Vec<Vec<u64>> {
+    pub fn convert_approx<L: AsRef<[u64]>>(&self, x: &[L]) -> Vec<Vec<u64>> {
         self.convert_limbs(x, false)
     }
 
-    /// Exact conversion of whole limbs (`x[limb][coeff]` layout).
+    /// Exact conversion of whole limbs (`x[limb][coeff]` layout),
+    /// borrowed in place (`&[Vec<u64>]` or `&[&[u64]]`).
     ///
     /// # Panics
     ///
     /// Panics if limb counts do not match the table's bases.
-    pub fn convert_exact(&self, x: &[Vec<u64>]) -> Vec<Vec<u64>> {
+    pub fn convert_exact<L: AsRef<[u64]>>(&self, x: &[L]) -> Vec<Vec<u64>> {
         self.convert_limbs(x, true)
     }
 
@@ -184,11 +186,11 @@ impl BconvTable {
     /// product is an exact u128 sum (order-independent) reduced once, and
     /// the exact correction accumulates the fractional sum in the same
     /// source-limb order so the f64 rounding decision cannot differ.
-    fn convert_limbs(&self, x: &[Vec<u64>], exact: bool) -> Vec<Vec<u64>> {
+    fn convert_limbs<L: AsRef<[u64]>>(&self, x: &[L], exact: bool) -> Vec<Vec<u64>> {
         assert_eq!(x.len(), self.src.len(), "source limb count mismatch");
-        let n = x[0].len();
+        let n = x[0].as_ref().len();
         for limb in x {
-            assert_eq!(limb.len(), n, "ragged limb lengths");
+            assert_eq!(limb.as_ref().len(), n, "ragged limb lengths");
         }
         let be = backend::get(self.backend);
         // y_i = [x_i · q̂_i⁻¹]_{q_i}, whole limbs at a time.
@@ -200,7 +202,7 @@ impl BconvTable {
             .zip(x)
             .zip(ys.iter_mut().zip(&self.qhat_inv))
         {
-            be.mul_const(m, m.shoup(hi), limb, y);
+            be.mul_const(m, m.shoup(hi), limb.as_ref(), y);
         }
         let ys_rows: Vec<&[u64]> = ys.iter().map(Vec::as_slice).collect();
         // Overshoot counts for the exact flavour, fractional sums taken in

@@ -7,6 +7,7 @@
 //! `CkksContext`). Operations assert limb-count agreement, which catches
 //! level mismatches early.
 
+use crate::backend::{self, BackendKind};
 use crate::{signed_mod, MathError, Modulus};
 use rand::Rng;
 
@@ -215,21 +216,35 @@ impl RnsPoly {
         }
     }
 
-    /// Fused multiply-add: `self += a * b` pointwise (NTT domain).
+    /// Exact-sum inner product `Σ_j a_j ⊙ b_j` of pointwise (NTT-domain)
+    /// products over the limbs of `moduli`: each coefficient's sum is
+    /// formed exactly and reduced once by `backend`'s `mul_sum` kernel —
+    /// the key-switch inner product and the HMult tensor.
     ///
     /// # Panics
     ///
-    /// Panics on domain or shape mismatch.
-    pub fn mul_acc_assign(&mut self, a: &Self, b: &Self, moduli: &[Modulus]) {
-        assert_eq!(self.domain, Domain::Ntt);
-        self.check_pair(a);
-        a.check_pair(b);
-        for (i, m) in moduli.iter().enumerate().take(self.limbs.len()) {
-            let (dst, (x, y)) = (&mut self.limbs[i], (&a.limbs[i], &b.limbs[i]));
-            for ((d, &u), &v) in dst.iter_mut().zip(x).zip(y) {
-                *d = m.add(*d, m.mul(u, v));
-            }
+    /// Panics if `pairs` is empty, on domain or shape mismatch, or if
+    /// there are fewer moduli than limbs.
+    pub fn inner_product(
+        pairs: &[(&RnsPoly, &RnsPoly)],
+        moduli: &[Modulus],
+        backend: BackendKind,
+    ) -> Self {
+        let (first, _) = pairs.first().expect("inner product needs a term");
+        let mut out = Self::zero(first.n, first.limbs.len(), Domain::Ntt);
+        assert!(moduli.len() >= out.limbs.len(), "too few moduli");
+        for (a, b) in pairs {
+            assert_eq!(a.domain, Domain::Ntt, "inner product needs NTT domain");
+            out.check_pair(a);
+            a.check_pair(b);
         }
+        let be = backend::get(backend);
+        for (i, (dst, m)) in out.limbs.iter_mut().zip(moduli).enumerate() {
+            let xs: Vec<&[u64]> = pairs.iter().map(|(a, _)| a.limbs[i].as_slice()).collect();
+            let ys: Vec<&[u64]> = pairs.iter().map(|(_, b)| b.limbs[i].as_slice()).collect();
+            be.mul_sum(m, &xs, &ys, dst);
+        }
+        out
     }
 
     /// Multiplies limb `i` by the scalar `s[i]` (one scalar per limb).
@@ -370,15 +385,20 @@ mod tests {
     }
 
     #[test]
-    fn mul_acc_matches_manual() {
+    fn inner_product_matches_pointwise_sums() {
         let ms = moduli(2);
         let mut rng = rand::thread_rng();
-        let mut acc = RnsPoly::zero(8, 2, Domain::Ntt);
-        let a = RnsPoly::random_uniform(&mut rng, 8, &ms, Domain::Ntt);
-        let b = RnsPoly::random_uniform(&mut rng, 8, &ms, Domain::Ntt);
-        acc.mul_acc_assign(&a, &b, &ms);
+        let a = RnsPoly::random_uniform(&mut rng, 32, &ms, Domain::Ntt);
+        let b = RnsPoly::random_uniform(&mut rng, 32, &ms, Domain::Ntt);
+        let c = RnsPoly::random_uniform(&mut rng, 32, &ms, Domain::Ntt);
         let mut manual = a.clone();
         manual.mul_pointwise_assign(&b, &ms);
-        assert_eq!(acc, manual);
+        let mut ac = a.clone();
+        ac.mul_pointwise_assign(&c, &ms);
+        manual.add_assign(&ac, &ms);
+        for kind in [BackendKind::Portable, BackendKind::Simd] {
+            let ip = RnsPoly::inner_product(&[(&a, &b), (&a, &c)], &ms, kind);
+            assert_eq!(ip, manual, "{kind}");
+        }
     }
 }

@@ -5,7 +5,10 @@
 //! `neo_plan::param_fingerprint`); records written under a different
 //! fingerprint are ignored on load and refused on decode, so a store
 //! file can be shared across parameter upgrades without ever hydrating
-//! keys into the wrong context.
+//! keys into the wrong context. Key and ciphertext records ignore the
+//! compute backend: every backend computes them bit for bit alike, so a
+//! session saved under one backend warm-starts under the other. Cached
+//! plans keep the backend in their key — a plan is priced for one.
 //!
 //! KSK records are **seed-compressed**: only the digit `b`-parts are
 //! persisted (one polynomial per digit instead of two), and the public
@@ -20,7 +23,9 @@ use crate::codec;
 use crate::format::{RecordId, RecordKind};
 use crate::metrics;
 use crate::store::{RecordStatus, Store};
-use neo_ckks::{Ciphertext, CkksContext, FheEngine, KeyTarget, KsMethod, SecretKey};
+use neo_ckks::{
+    BackendKind, Ciphertext, CkksContext, CkksParams, FheEngine, KeyTarget, KsMethod, SecretKey,
+};
 use neo_error::NeoError;
 use neo_plan::{param_fingerprint, PlanKey, PlanStore};
 use std::path::Path;
@@ -31,7 +36,23 @@ use std::sync::Arc;
 pub struct SessionStore {
     store: Store,
     ctx: Arc<CkksContext>,
+    /// Tags plan records: every parameter, backend included.
     fingerprint: u64,
+    /// Accepted on key and ciphertext records: the parameters'
+    /// fingerprint under each backend. New records take the portable one.
+    material: [u64; 2],
+}
+
+/// `p`'s fingerprint under each backend, portable first. Key material and
+/// ciphertexts are backend-independent, so any of these identifies them;
+/// the portable one is also what stores written before this split carry
+/// for sessions that ran on the portable backend.
+fn material_fingerprints(p: &CkksParams) -> [u64; 2] {
+    [BackendKind::Portable, BackendKind::Simd].map(|backend| {
+        let mut q = p.clone();
+        q.backend = backend;
+        param_fingerprint(&q)
+    })
 }
 
 fn ksk_kind(method: KsMethod) -> RecordKind {
@@ -51,10 +72,12 @@ impl SessionStore {
     pub fn open(path: impl AsRef<Path>, ctx: Arc<CkksContext>) -> Result<Self, NeoError> {
         let store = Store::open(path)?;
         let fingerprint = param_fingerprint(ctx.params());
+        let material = material_fingerprints(ctx.params());
         Ok(Self {
             store,
             ctx,
             fingerprint,
+            material,
         })
     }
 
@@ -68,10 +91,18 @@ impl SessionStore {
         &self.ctx
     }
 
-    /// The parameter fingerprint every record in this session is tagged
-    /// with.
+    /// The parameter fingerprint (backend included) plan records in this
+    /// session are tagged with.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
+    }
+
+    /// Whether `id` is tagged as key or ciphertext material of these
+    /// parameters, under any backend.
+    fn is_material(&self, id: RecordId) -> bool {
+        self.store
+            .fingerprint_of(id)
+            .is_some_and(|fp| self.material.contains(&fp))
     }
 
     fn sk_id(tenant: u64) -> RecordId {
@@ -97,7 +128,7 @@ impl SessionStore {
     /// with.
     pub fn has_session(&self, tenant: u64) -> bool {
         self.store.status(Self::sk_id(tenant)) == RecordStatus::Valid
-            && self.store.fingerprint_of(Self::sk_id(tenant)) == Some(self.fingerprint)
+            && self.is_material(Self::sk_id(tenant))
     }
 
     /// Persists `engine`'s session for `tenant`: the secret key (tagged
@@ -109,7 +140,7 @@ impl SessionStore {
         self.store.put(
             Self::sk_id(tenant),
             engine_seed,
-            self.fingerprint,
+            self.material[0],
             codec::encode_secret_key(chest.secret_key().coeffs()),
         );
         let kind = ksk_kind(engine.method());
@@ -123,7 +154,7 @@ impl SessionStore {
                     aux: target.code(),
                 },
                 chest.key_seed(),
-                self.fingerprint,
+                self.material[0],
                 codec::encode_polys(&b_parts),
             );
         }
@@ -137,7 +168,7 @@ impl SessionStore {
     /// heals the file.
     ///
     /// Returns `Ok(None)` when no secret-key record exists for `tenant`
-    /// under this fingerprint (cold start is the caller's fallback).
+    /// under these parameters (cold start is the caller's fallback).
     ///
     /// # Errors
     ///
@@ -149,7 +180,7 @@ impl SessionStore {
         let Some(payload) = self.store.get(sk_id)? else {
             return Ok(None);
         };
-        if self.store.fingerprint_of(sk_id) != Some(self.fingerprint) {
+        if !self.is_material(sk_id) {
             return Ok(None);
         }
         let seed = self.store.seed_of(sk_id).unwrap_or(0);
@@ -160,10 +191,7 @@ impl SessionStore {
         let chest = engine.chest();
 
         for id in self.store.ids() {
-            if id.kind != kind
-                || id.tenant != tenant
-                || self.store.fingerprint_of(id) != Some(self.fingerprint)
-            {
+            if id.kind != kind || id.tenant != tenant || !self.is_material(id) {
                 continue;
             }
             let Some(target) = KeyTarget::from_code(id.aux) else {
@@ -191,7 +219,7 @@ impl SessionStore {
         for id in self.store.recoverable_ids() {
             if id.kind != kind
                 || id.tenant != tenant
-                || self.store.fingerprint_of(id) != Some(self.fingerprint)
+                || !self.is_material(id)
                 || self.store.seed_of(id) != Some(chest.key_seed())
             {
                 continue;
@@ -204,7 +232,7 @@ impl SessionStore {
             self.store.put(
                 id,
                 chest.key_seed(),
-                self.fingerprint,
+                self.material[0],
                 codec::encode_polys(&b_parts),
             );
             neo_fault::note_recovery(neo_fault::FaultSite::StoreRead);
@@ -271,13 +299,13 @@ impl SessionStore {
         self.store.put(
             Self::ct_id(tenant, handle),
             0,
-            self.fingerprint,
+            self.material[0],
             codec::encode_ciphertext(ct),
         );
     }
 
     /// Loads a ciphertext saved under `handle`, or `None` if absent (or
-    /// written under a different fingerprint).
+    /// written under different parameters).
     ///
     /// # Errors
     ///
@@ -289,9 +317,7 @@ impl SessionStore {
         handle: u64,
     ) -> Result<Option<Ciphertext>, NeoError> {
         let id = Self::ct_id(tenant, handle);
-        if self.store.fingerprint_of(id) != Some(self.fingerprint)
-            && self.store.status(id) == RecordStatus::Valid
-        {
+        if !self.is_material(id) && self.store.status(id) == RecordStatus::Valid {
             return Ok(None);
         }
         match self.store.get(id)? {
@@ -374,6 +400,53 @@ mod tests {
                 .export_b_parts(ctx.params().max_level, KeyTarget::Relin)
         );
         assert!(ss2.warm_start(9999).expect("missing tenant").is_none());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Key material is backend-independent: a session saved under the
+    /// portable backend warm-starts under SIMD and decrypts bit for bit
+    /// like the engine that saved it.
+    #[test]
+    fn session_survives_a_backend_flip() {
+        let path = tmp("flip");
+        let ctx_on = |backend| {
+            let mut p = CkksParams::test_tiny();
+            p.backend = backend;
+            Arc::new(CkksContext::new(p).expect("ctx"))
+        };
+        let portable = ctx_on(BackendKind::Portable);
+        let cold = FheEngine::with_context(portable.clone(), 5);
+        let lvl = portable.params().max_level;
+        cold.chest()
+            .warm(lvl, KeyTarget::Relin, cold.method())
+            .expect("warm relin");
+        let ct = cold.encrypt_f64(&[0.75, -3.5], lvl).expect("enc");
+        let mut ss = SessionStore::open(&path, portable).expect("open");
+        ss.save_engine(3, &cold, 5);
+        ss.save_ciphertext(3, 1, &ct);
+        ss.commit().expect("commit");
+
+        let simd = ctx_on(BackendKind::Simd);
+        let mut ss2 = SessionStore::open(&path, simd).expect("reopen");
+        assert!(ss2.has_session(3));
+        let warm = ss2
+            .warm_start(3)
+            .expect("warm start")
+            .expect("warm, not cold");
+        assert_eq!(warm.backend(), BackendKind::Simd);
+        assert_eq!(
+            warm.chest().export_b_parts(lvl, KeyTarget::Relin),
+            cold.chest().export_b_parts(lvl, KeyTarget::Relin)
+        );
+        let back = ss2.load_ciphertext(3, 1).expect("load").expect("present");
+        let (w, c) = (
+            warm.decrypt_f64(&back).expect("warm decrypt"),
+            cold.decrypt_f64(&ct).expect("cold decrypt"),
+        );
+        assert_eq!(
+            w.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            c.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
         let _ = std::fs::remove_file(&path);
     }
 

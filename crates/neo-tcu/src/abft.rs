@@ -202,6 +202,7 @@ mod tests {
 
     #[test]
     fn clean_product_verifies_and_tallies() {
+        let _tally = crate::tally_lock();
         let q = test_modulus(36);
         let (a, b, c) = random_gemm(1, &q, 8, 4, 8);
         let (r, w) = neo_trace::record(|| verify_gemm(&q, &a, &b, 8, 4, 8, &c));
@@ -212,6 +213,7 @@ mod tests {
 
     #[test]
     fn checked_gemm_detects_injected_fragment_fault() {
+        let _tally = crate::tally_lock();
         let q = test_modulus(36);
         let (a, b, _) = random_gemm(2, &q, 8, 4, 8);
         let mut out = vec![0u64; 64];
@@ -242,6 +244,7 @@ mod tests {
     #[test]
     fn abft_detection_is_backend_independent() {
         use neo_math::BackendKind;
+        let _tally = crate::tally_lock();
         let q = test_modulus(48);
         let (a, b, _) = random_gemm(3, &q, 9, 33, 7);
         for kind in [BackendKind::Portable, BackendKind::Simd] {
@@ -278,6 +281,7 @@ mod tests {
             flip_idx in 0usize..1024,
             flip_bit in 0u64..64,
         ) {
+            let _tally = crate::tally_lock();
             let q = test_modulus(bits);
             let (a, b, mut c) = random_gemm(seed, &q, m, k, n);
             prop_assert!(verify_gemm(&q, &a, &b, m, k, n, &c).is_ok());

@@ -511,6 +511,7 @@ mod tests {
 
     #[test]
     fn backend_gemm_is_bit_identical_across_kinds() {
+        let _tally = crate::tally_lock();
         // Wide modulus + long K forces mid-row folds, the place where a
         // backend with a different fold schedule would diverge.
         let q = Modulus::new(primes::ntt_primes(61, 1 << 10, 1).unwrap()[0]).unwrap();

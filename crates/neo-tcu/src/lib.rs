@@ -56,3 +56,15 @@ pub use gemm::{reference_gemm, BackendGemm, Fp64TcuGemm, GemmEngine, Int8TcuGemm
 pub use multimod::{gemm_multi_mod_fp64, gemm_multi_mod_int8, gemm_multi_mod_scalar};
 pub use split::{Fp64SplitScheme, Int8SplitScheme};
 pub use stats::{booth_complexity_fp64, booth_complexity_int8, valid_proportion, GemmDims};
+
+/// Serialises this crate's tests that run [`verify_gemm`] or
+/// [`BackendGemm`] while asserting on process-global tallies (`neo-trace`
+/// counters, `neo-metrics` handles): `cargo test` runs tests on parallel
+/// threads, and a concurrent test's checks would leak into the delta.
+#[cfg(test)]
+pub(crate) fn tally_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A failed test poisons the lock; the unit value needs no repair.
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}

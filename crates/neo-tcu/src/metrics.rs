@@ -40,6 +40,7 @@ mod tests {
 
     #[test]
     fn backend_gemm_records_latency_and_abft_counts() {
+        let _tally = crate::tally_lock();
         let q = Modulus::new(primes::ntt_primes(36, 8, 1).expect("primes")[0]).expect("modulus");
         let a = vec![1u64; 16];
         let b = vec![2u64; 16];

@@ -1,8 +1,8 @@
 //! Cross-backend bit-identity: the portable and SIMD compute backends
 //! must produce byte-for-byte equal outputs on every kernel the
 //! [`neo_math::ComputeBackend`] seam covers — forward/inverse NTT, RNS
-//! base conversion, and the verified modular GEMM — across random primes
-//! and bootstrapping-adjacent degrees. Equality of canonical outputs (not
+//! base conversion, the element-wise and inner-product limb kernels, and
+//! the verified modular GEMM — across random primes and degrees. Equality of canonical outputs (not
 //! just congruence) is the contract that makes the backend a pure
 //! throughput knob: ABFT checksums, integrity tokens, and golden test
 //! vectors all remain valid regardless of which backend computed them.
@@ -98,6 +98,74 @@ proptest! {
             .gemm_verified(&q, &a, &b, m, k, n, &mut cs)
             .unwrap();
         prop_assert_eq!(cp, cs);
+    }
+}
+
+/// Every NTT degree from 2^4 to 2^14 (so the narrow `half ∈ {1, 2, 4}`
+/// stages and sub-vector degrees run), at the Q/P and T word sizes, at
+/// the edge of the IFMA window (49 bits and the largest NTT prime below
+/// 2^50, i.e. with `4q < 2^52`) and just past it (51 bits, which must
+/// route to the fallback kernels).
+#[test]
+fn ntt_is_bit_identical_at_every_degree_and_word_size() {
+    let mut rng = StdRng::seed_from_u64(0x1f_3a);
+    for bits in [36u32, 48, 49, 50, 51] {
+        for log_n in 4..=14 {
+            let n = 1usize << log_n;
+            let q = neo_math::primes::ntt_primes(bits, n, 1).unwrap()[0];
+            let portable = NttPlan::with_backend(q, n, BackendKind::Portable).unwrap();
+            let simd = NttPlan::with_backend(q, n, BackendKind::Simd).unwrap();
+            let a = random_vec(&mut rng, n, q);
+            let (mut fp, mut fs) = (a.clone(), a.clone());
+            radix2::forward(&portable, &mut fp);
+            radix2::forward(&simd, &mut fs);
+            assert_eq!(fp, fs, "forward diverged (bits={bits}, n={n})");
+            radix2::inverse(&portable, &mut fp);
+            radix2::inverse(&simd, &mut fs);
+            assert_eq!(fp, fs, "inverse diverged (bits={bits}, n={n})");
+            assert_eq!(fs, a, "round trip lost the input (bits={bits}, n={n})");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The element-wise and inner-product kernels agree bit-for-bit at
+    /// lengths that are rarely a multiple of the 8-lane vector width, on
+    /// both sides of the IFMA window.
+    #[test]
+    fn limb_kernels_are_bit_identical_at_any_length(
+        seed in any::<u64>(),
+        bits_at in 0usize..6,
+        len in 1usize..=100,
+        terms in 1usize..=6,
+    ) {
+        let bits = [36u32, 48, 49, 50, 51, 60][bits_at];
+        let m = Modulus::new(neo_math::primes::ntt_primes(bits, 1 << 10, 1).unwrap()[0]).unwrap();
+        let q = m.value();
+        let (portable, simd) = (
+            neo_math::backend::get(BackendKind::Portable),
+            neo_math::backend::get(BackendKind::Simd),
+        );
+        let mut rng = StdRng::seed_from_u64(seed);
+        let s = m.shoup(rng.gen_range(0..q));
+        let raw: Vec<u64> = (0..len).map(|_| rng.gen()).collect();
+        let (mut a, mut b) = (vec![0u64; len], vec![0u64; len]);
+        portable.mul_const(&m, s, &raw, &mut a);
+        simd.mul_const(&m, s, &raw, &mut b);
+        prop_assert_eq!(&a, &b, "mul_const");
+
+        let rows: Vec<Vec<u64>> = (0..2 * terms).map(|_| random_vec(&mut rng, len, q)).collect();
+        let xs: Vec<&[u64]> = rows[..terms].iter().map(Vec::as_slice).collect();
+        let ys: Vec<&[u64]> = rows[terms..].iter().map(Vec::as_slice).collect();
+        let w = random_vec(&mut rng, terms, q);
+        portable.bconv_ip(&m, &xs, q, &w, &mut a);
+        simd.bconv_ip(&m, &xs, q, &w, &mut b);
+        prop_assert_eq!(&a, &b, "bconv_ip");
+        portable.mul_sum(&m, &xs, &ys, &mut a);
+        simd.mul_sum(&m, &xs, &ys, &mut b);
+        prop_assert_eq!(&a, &b, "mul_sum");
     }
 }
 

@@ -14,13 +14,21 @@
 //!    tenants' plans — it is reserved for faults detected at NTT sites.
 //!
 //! Own binary: the assertions read process-global cache statistics, which
-//! parallel tests inside a shared binary would pollute.
+//! parallel tests inside a shared binary would pollute. The two tests here
+//! take turns on [`serial`] for the same reason.
 
 use neo::fault::{FaultPlan, FaultScope, FaultSite, FaultSpec};
 use neo::ntt::cache;
 use neo::prelude::*;
 use neo::serve::{ServeConfig, ServiceCore, TenantRegistry};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// Serialises this binary's tests: `cargo test` runs them on parallel
+/// threads, and each asserts on the cache statistics the other moves.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn square_and_add() -> BatchProgram {
     let mut p = BatchProgram::new();
@@ -36,6 +44,7 @@ fn square_and_add() -> BatchProgram {
 /// resident: no evictions, no discarded builds, stable entry count.
 #[test]
 fn interleaved_tenants_do_not_disturb_plan_cache() {
+    let _serial = serial();
     let registry = Arc::new(TenantRegistry::new(CkksParams::test_tiny()).expect("params"));
     for id in 0..4u64 {
         registry.register_default(id, 1000 + id).expect("register");
@@ -97,6 +106,7 @@ fn interleaved_tenants_do_not_disturb_plan_cache() {
 /// cross-tenant hazard the serve layer exists to contain.
 #[test]
 fn op_fault_recovery_leaves_plan_cache_alone() {
+    let _serial = serial();
     let engine = FheEngine::new(CkksParams::test_tiny(), 77)
         .expect("engine")
         .with_policy(OpPolicy {
