@@ -1,16 +1,15 @@
 //! `backend_bench` — portable vs SIMD compute-backend comparison on the
 //! hot kernels the [`neo_math::ComputeBackend`] seam covers: the
 //! negacyclic NTT at `n = 2^13` on the 36-bit Q/P and 48-bit T word sizes
-//! and at `n = 2^14` on a 55-bit prime, the exact RNS base conversion,
-//! the key-switch inner product (`mul_sum`) and the 256×256×256 modular
-//! GEMM.
+//! and at `n = 2^14` on a 55-bit prime, the exact RNS base conversion and
+//! the key-switch inner product (`mul_sum`).
 //!
 //! Before timing, every kernel's SIMD output is asserted bit-identical to
 //! the portable output on the same inputs — the numbers are only
 //! meaningful because the results are interchangeable. Each row records
-//! the path the SIMD backend took (`ifma`, `vector` or `scalar`; see
-//! [`SimdBackend::path`]): the 55-bit NTT and the GEMM fall outside the
-//! IFMA window and time the fallback kernels.
+//! the path the SIMD backend took (`ifma` or `scalar`; see
+//! [`SimdBackend::path`]): the 55-bit NTT falls outside the IFMA window
+//! and times the portable kernels on both sides.
 //!
 //! Timing budget comes from the shared `NEO_BENCH_WARMUP_MS` /
 //! `NEO_BENCH_MEASURE_MS` / `NEO_BENCH_SAMPLES` knobs (see
@@ -21,7 +20,6 @@ use neo_bench::measure::{self, MeasureConfig, Measurement};
 use neo_bench::{emit, ratio};
 use neo_math::{BackendKind, Modulus, RnsBasis, SimdBackend};
 use neo_ntt::{radix2, NttPlan};
-use neo_tcu::{BackendGemm, GemmEngine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde_json::json;
@@ -172,52 +170,18 @@ fn main() {
         json!({ "n": n, "terms": 3, "prime_bits": 48 }),
     );
 
-    // --- 256x256x256 modular GEMM, 55-bit prime. ---
-    let dim = 256usize;
-    let qm = Modulus::new(neo_math::primes::ntt_primes(55, 1 << 14, 1).unwrap()[0]).unwrap();
-    let q = qm.value();
-    let ga: Vec<u64> = (0..dim * dim).map(|_| rng.gen_range(0..q)).collect();
-    let gb: Vec<u64> = (0..dim * dim).map(|_| rng.gen_range(0..q)).collect();
-    let engine_portable = BackendGemm::new(BackendKind::Portable);
-    let engine_simd = BackendGemm::new(BackendKind::Simd);
-    let (mut cp, mut cs) = (vec![0u64; dim * dim], vec![0u64; dim * dim]);
-    engine_portable.gemm(&qm, &ga, &gb, dim, dim, dim, &mut cp);
-    engine_simd.gemm(&qm, &ga, &gb, dim, dim, dim, &mut cs);
-    assert_eq!(cp, cs, "SIMD GEMM diverged from portable");
-    let gemm_portable = measure::time(&cfg, || {
-        let mut out = vec![0u64; dim * dim];
-        engine_portable.gemm(&qm, &ga, &gb, dim, dim, dim, &mut out);
-        out
-    });
-    let gemm_simd = measure::time(&cfg, || {
-        let mut out = vec![0u64; dim * dim];
-        engine_simd.gemm(&qm, &ga, &gb, dim, dim, dim, &mut out);
-        out
-    });
-    push_row(
-        &mut human,
-        "gemm_256",
-        SimdBackend::fallback_path(),
-        gemm_portable,
-        gemm_simd,
-        json!({ "m": dim, "k": dim, "n": dim, "prime_bits": 55 }),
-    );
-
     let doc = json!({
         "description": "Portable vs SIMD compute-backend medians for the ComputeBackend \
                         hot kernels. Bit-identity is asserted on the bench inputs before \
                         timing. Re-run with: cargo run --release -p neo-bench --bin \
-                        backend_bench (add +nightly ... --features simd for the std::simd \
-                        fallback kernels).",
-        "simd_feature": cfg!(feature = "simd"),
+                        backend_bench",
         "detected_default": BackendKind::detect().name(),
         "kernels": rows,
         "notes": [
             "Medians over NEO_BENCH_SAMPLES samples; the container shares its cores, so \
              absolute numbers drift between runs while same-run ratios are stable.",
             "simd_path is the path SimdBackend took for the row: ifma (AVX-512 IFMA, \
-             4q < 2^52), vector (std::simd, nightly simd feature) or scalar (the portable \
-             kernels, so the speedup is ~1.0).",
+             4q < 2^52) or scalar (the portable kernels, so the speedup is ~1.0).",
         ],
     });
     match serde_json::to_string_pretty(&doc) {

@@ -33,7 +33,7 @@ use neo_ntt::{radix2, NttPlan};
 use neo_sched::{publish_utilization, simulate, SimConfig};
 use neo_serve::{price_request, AdmissionConfig, AdmissionQueue, QueuedRequest};
 use neo_store::SessionStore;
-use neo_tcu::{BackendGemm, GemmEngine};
+use neo_tcu::{GemmEngine, ScalarGemm};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde_json::json;
@@ -110,10 +110,9 @@ fn main() {
     let qm = Modulus::new(q).expect("prime is a valid modulus");
     let ga: Vec<u64> = (0..dim * dim).map(|_| rng.gen_range(0..q)).collect();
     let gb: Vec<u64> = (0..dim * dim).map(|_| rng.gen_range(0..q)).collect();
-    let engine = BackendGemm::new(BackendKind::Portable);
     let gemm = measure::time(&cfg, || {
         let mut out = vec![0u64; dim * dim];
-        engine.gemm(&qm, &ga, &gb, dim, dim, dim, &mut out);
+        ScalarGemm.gemm(&qm, &ga, &gb, dim, dim, dim, &mut out);
         out
     });
 

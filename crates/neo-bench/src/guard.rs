@@ -242,7 +242,8 @@ mod tests {
 
     #[test]
     fn baselines_round_trip_through_disk() {
-        let dir = std::env::temp_dir().join("neo_guard_test_baselines");
+        let dir =
+            std::env::temp_dir().join(format!("neo_guard_test_baselines_{}", std::process::id()));
         let path = dir.join("baselines.json");
         let mut b = Baselines::default();
         b.kernels.insert("ntt_forward_n16384".into(), 123456.0);

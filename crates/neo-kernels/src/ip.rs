@@ -22,7 +22,7 @@ use neo_gpu_sim::costs::{MERGE_COST, REORDER_COST, SPLIT_COST, WORD_BYTES};
 use neo_gpu_sim::KernelProfile;
 use neo_math::Modulus;
 use neo_tcu::{
-    BackendGemm, Fp64TcuGemm, GemmDims, GemmEngine, Int8TcuGemm, FP64_FRAGMENT, INT8_FRAGMENTS,
+    Fp64TcuGemm, GemmDims, GemmEngine, Int8TcuGemm, ScalarGemm, FP64_FRAGMENT, INT8_FRAGMENTS,
 };
 use neo_trace::{span, Counter};
 use rayon::prelude::*;
@@ -111,9 +111,7 @@ pub fn ip_matrix(
     neo_trace::add(Counter::Launches, 1);
     let w = moduli.iter().map(|m| m.bits()).max().unwrap();
     let engine: Box<dyn GemmEngine + Sync> = match target {
-        // The CUDA-core path runs on the process-default compute backend
-        // (vectorized when available); output is bit-identical to scalar.
-        MatmulTarget::Cuda => Box::new(BackendGemm::auto()),
+        MatmulTarget::Cuda => Box::new(ScalarGemm),
         MatmulTarget::TcuFp64 => Box::new(Fp64TcuGemm::for_word_size(w.clamp(2, 48))),
         MatmulTarget::TcuInt8 => Box::new(Int8TcuGemm::for_word_size(w)),
     };

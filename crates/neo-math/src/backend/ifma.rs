@@ -7,7 +7,7 @@
 //! the same role on the A100). Every kernel here needs `4q < 2^52`, so
 //! that the NTT's lazy `[0, 4q)` operands and every residue fit one
 //! multiplier input; callers check that with [`Ifma::for_modulus`] and
-//! otherwise run the scalar or `std::simd` kernels.
+//! otherwise run the portable scalar kernels.
 //!
 //! # Exact Shoup quotients
 //!

@@ -2,15 +2,15 @@
 //!
 //! [`ComputeBackend`] is the seam between the algorithmic drivers
 //! (`neo-ntt`'s stage loops, `neo-math::bconv`'s limb conversion, the
-//! key-switch inner products over [`RnsPoly`](crate::RnsPoly), `neo-tcu`'s
-//! blocked GEMM) and the arithmetic inner loops they execute.
+//! key-switch inner products over [`RnsPoly`](crate::RnsPoly)) and the
+//! arithmetic inner loops they execute.
 //! The drivers own *what* work happens — stage ordering, counter tallies,
 //! fault-injection hooks, ABFT checks — while a backend owns *how* one
-//! stage/inner-product/tile is evaluated. Every backend must land on the
+//! stage/inner product is evaluated. Every backend must land on the
 //! **bit-identical canonical output**: the kernels fully reduce at
 //! their boundary (the NTT's final stage folds `[0, 4q) → [0, q)`, the
 //! inverse scale and `mul_const` are full Shoup multiplies, the inner
-//! products and GEMM reduce exact sums), so backends are free to hold
+//! products reduce exact sums), so backends are free to hold
 //! *different lazy representatives internally* — e.g. skipping the `ω⁰ = 1`
 //! multiply scalar-side while vectorizing it uniformly — as long as every
 //! intermediate stays congruent and inside the `[0, 4q)` window.
@@ -18,19 +18,20 @@
 //! Two backends ship:
 //!
 //! * [`PortableBackend`] — the scalar Shoup/lazy-reduction kernels.
-//!   Always available, the correctness anchor.
-//! * [`SimdBackend`] — lane-parallel kernels: AVX-512 IFMA on stable Rust
-//!   when the CPU has it and the modulus fits 52-bit lanes, `std::simd`
-//!   under the nightly `simd` cargo feature, and the portable kernels
+//!   Always available, the correctness anchor. It also owns the blocked
+//!   modular GEMM ([`PortableBackend::gemm`]) that `neo-tcu`'s scalar
+//!   engine runs.
+//! * [`SimdBackend`] — AVX-512 IFMA kernels when the CPU has them and the
+//!   modulus fits 52-bit lanes (`4q < 2^52`), the portable kernels
 //!   otherwise (see the `simd` module).
 //!
 //! Selection happens once, at engine/plan build time: an explicit
 //! [`BackendKind`] via `CkksParamsBuilder::backend(..)`, the `NEO_BACKEND`
 //! environment override, or runtime CPU-feature detection for the default
 //! ([`BackendKind::detect`]). The chosen kind threads through
-//! `NttPlan`/plan-cache keys, `BconvTable`, and `neo-tcu::BackendGemm`, so
-//! a process can hold plans for both backends side by side (the
-//! cross-backend property tests do exactly that).
+//! `NttPlan`/plan-cache keys and `BconvTable`, so a process can hold
+//! plans for both backends side by side (the cross-backend property tests
+//! do exactly that).
 
 use crate::{Modulus, ShoupMul};
 use serde::{Deserialize, Serialize};
@@ -51,8 +52,7 @@ pub enum BackendKind {
     /// Scalar Shoup/lazy-reduction kernels (the PR 1 fast path).
     Portable,
     /// Lane-parallel kernels: AVX-512 IFMA where the CPU and modulus
-    /// allow, `std::simd` under the nightly `simd` feature, portable
-    /// kernels otherwise.
+    /// allow, portable kernels otherwise.
     Simd,
 }
 
@@ -79,9 +79,8 @@ impl BackendKind {
     ///
     /// 1. `NEO_BACKEND=portable|scalar|simd` wins outright (unknown values
     ///    are ignored, not errors — benches sweep this variable);
-    /// 2. otherwise [`BackendKind::Simd`] when it has a faster path on this
-    ///    CPU: AVX-512 IFMA detected at runtime (stable builds included),
-    ///    or the `simd` feature compiled in with AVX2 detected;
+    /// 2. otherwise [`BackendKind::Simd`] when AVX-512 IFMA is detected
+    ///    at runtime, its only faster path;
     /// 3. otherwise [`BackendKind::Portable`].
     pub fn detect() -> Self {
         static DETECTED: LazyLock<BackendKind> = LazyLock::new(|| {
@@ -132,7 +131,7 @@ pub fn get(kind: BackendKind) -> &'static dyn ComputeBackend {
 /// * `ntt_fwd_stage_final` and `ntt_scale` emit canonical `[0, q)` values.
 /// * `mul_const` accepts **arbitrary** `u64` inputs (Shoup multiplication
 ///   is sound for any multiplicand) and emits canonical values.
-/// * `bconv_ip`, `mul_sum` and `gemm` compute exact integer sums before
+/// * `bconv_ip` and `mul_sum` compute exact integer sums before
 ///   reducing, so their outputs are independent of association order.
 pub trait ComputeBackend: Send + Sync {
     /// Which [`BackendKind`] this implementation answers to.
@@ -195,34 +194,6 @@ pub trait ComputeBackend: Send + Sync {
     /// is as long as `out` and holds reduced values (`< m`);
     /// `a.len() == b.len()`.
     fn mul_sum(&self, m: &Modulus, a: &[&[u64]], b: &[&[u64]], out: &mut [u64]);
-
-    /// Blocked deferred-reduction modular GEMM: `out = a·b (mod q)` for
-    /// row-major `m×k` / `k×n` operands with reduced entries. Dimension
-    /// checks and work-counter tallies are the caller's job
-    /// (`neo-tcu::gemm` keeps them engine-side so every engine pays the
-    /// same accounting).
-    #[allow(clippy::too_many_arguments)]
-    fn gemm(
-        &self,
-        q: &Modulus,
-        a: &[u64],
-        b: &[u64],
-        m: usize,
-        k: usize,
-        n: usize,
-        out: &mut [u64],
-    );
-}
-
-/// The accumulation span: how many products of reduced operands fit in a
-/// `u128` accumulator without wrapping (`span·(q-1)² + (q-1) ≤
-/// u128::MAX`). Shared by both backends so their GEMM fold schedules — and
-/// thus their exact per-span sums — coincide.
-pub(crate) fn gemm_span(q: &Modulus) -> usize {
-    let qm1 = u128::from(q.value() - 1);
-    usize::try_from((u128::MAX - qm1) / (qm1 * qm1).max(1))
-        .unwrap_or(usize::MAX)
-        .max(1)
 }
 
 #[cfg(test)]
@@ -253,25 +224,37 @@ mod tests {
         assert_eq!(BackendKind::default(), BackendKind::detect());
     }
 
-    /// Without an override, the default is SIMD exactly when it has a
-    /// faster path here: AVX-512 IFMA, or the nightly lanes.
+    /// The largest prime inside the IFMA window (`4q < 2^52`).
+    fn largest_ifma_prime() -> Modulus {
+        let q = (0..(1u64 << 50))
+            .rev()
+            .find(|&q| primes::is_prime(q))
+            .unwrap();
+        Modulus::new(q).unwrap()
+    }
+
+    /// Without an override, the default is SIMD exactly when AVX-512 IFMA
+    /// is detected, and every SIMD call takes one of two paths: `"ifma"`
+    /// for moduli inside the `4q < 2^52` window on an IFMA CPU,
+    /// `"scalar"` everywhere else.
     #[test]
     fn detect_picks_simd_exactly_when_lanes_exist() {
-        if std::env::var_os("NEO_BACKEND").is_none() {
-            assert_eq!(
-                BackendKind::detect() == BackendKind::Simd,
-                simd::lanes_available()
-            );
-        }
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx512ifma") {
-            assert!(simd::lanes_available());
-            assert_eq!(SimdBackend::path(&modulus(49)), "ifma");
+        let ifma = std::arch::is_x86_feature_detected!("avx512ifma");
+        #[cfg(not(target_arch = "x86_64"))]
+        let ifma = false;
+        assert_eq!(simd::lanes_available(), ifma);
+        if std::env::var_os("NEO_BACKEND").is_none() {
+            assert_eq!(BackendKind::detect() == BackendKind::Simd, ifma);
         }
-        assert_eq!(
-            SimdBackend::path(&modulus(51)),
-            SimdBackend::fallback_path()
-        );
+        let inside = [modulus(36), modulus(48), modulus(49), largest_ifma_prime()];
+        for m in &inside {
+            let want = if ifma { "ifma" } else { "scalar" };
+            assert_eq!(SimdBackend::path(m), want, "{}-bit modulus", m.bits());
+        }
+        for bits in [51, 61] {
+            assert_eq!(SimdBackend::path(&modulus(bits)), "scalar", "{bits}-bit");
+        }
     }
 
     /// The moduli the kernels are checked on: the 36-bit Q/P and 48-bit
@@ -279,15 +262,11 @@ mod tests {
     /// (`4q < 2^52`) including the largest prime inside it, and 51/61-bit
     /// moduli that must route past it — plus a small 30-bit one.
     fn kernel_moduli() -> Vec<Modulus> {
-        let largest = (0..(1u64 << 50))
-            .rev()
-            .find(|&q| primes::is_prime(q))
-            .unwrap();
         let mut ms: Vec<Modulus> = [30u32, 36, 48, 49, 50, 51, 61]
             .into_iter()
             .map(modulus)
             .collect();
-        ms.push(Modulus::new(largest).unwrap());
+        ms.push(largest_ifma_prime());
         ms
     }
 
@@ -402,14 +381,6 @@ mod tests {
                     assert_eq!(a, expect, "mul_sum is the modular inner product");
                 }
             }
-
-            let (gm, gk, gn) = (5usize, 600usize, 19usize);
-            let ga: Vec<u64> = (0..gm * gk).map(|_| rng.gen_range(0..q)).collect();
-            let gb: Vec<u64> = (0..gk * gn).map(|_| rng.gen_range(0..q)).collect();
-            let (mut a, mut b) = (vec![0u64; gm * gn], vec![0u64; gm * gn]);
-            portable.gemm(&m, &ga, &gb, gm, gk, gn, &mut a);
-            simd.gemm(&m, &ga, &gb, gm, gk, gn, &mut b);
-            assert_eq!(a, b, "gemm bits={bits}");
         }
     }
 }

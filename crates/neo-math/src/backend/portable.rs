@@ -2,7 +2,7 @@
 //! anchor every other backend is property-tested against, and the
 //! fallback on targets without better options.
 
-use super::{gemm_span, BackendKind, ComputeBackend};
+use super::{BackendKind, ComputeBackend};
 use crate::{Modulus, ShoupMul};
 
 /// Scalar Shoup/lazy-reduction kernels (the original fast path).
@@ -150,8 +150,15 @@ impl ComputeBackend for PortableBackend {
             *o = acc;
         }
     }
+}
 
-    fn gemm(
+impl PortableBackend {
+    /// Blocked deferred-reduction modular GEMM: `out = a·b (mod q)` for
+    /// row-major `m×k` / `k×n` operands with reduced entries. Dimension
+    /// checks and work-counter tallies are the caller's job
+    /// (`neo_tcu::ScalarGemm`).
+    #[allow(clippy::too_many_arguments)]
+    pub fn gemm(
         &self,
         q: &Modulus,
         a: &[u64],
@@ -186,4 +193,14 @@ impl ComputeBackend for PortableBackend {
             }
         }
     }
+}
+
+/// The accumulation span: how many products of reduced operands fit in a
+/// `u128` accumulator without wrapping (`span·(q-1)² + (q-1) ≤
+/// u128::MAX`).
+fn gemm_span(q: &Modulus) -> usize {
+    let qm1 = u128::from(q.value() - 1);
+    usize::try_from((u128::MAX - qm1) / (qm1 * qm1).max(1))
+        .unwrap_or(usize::MAX)
+        .max(1)
 }

@@ -28,7 +28,7 @@
 //! # Ok(())
 //! # }
 //! ```
-#![cfg_attr(feature = "simd", feature(portable_simd))]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod backend;
 pub mod bconv;

@@ -218,6 +218,7 @@ mod tests {
     use crate::registry::MetricsRegistry;
 
     fn sample_snapshot() -> MetricsSnapshot {
+        let _gate = crate::gate_lock();
         crate::enable();
         let r = MetricsRegistry::new();
         r.counter("ops_total", &[("op", "hmult")]).add(7);
@@ -246,6 +247,7 @@ mod tests {
 
     #[test]
     fn label_values_are_escaped() {
+        let _gate = crate::gate_lock();
         crate::enable();
         let r = MetricsRegistry::new();
         r.counter("esc_total", &[("path", "a\\b\"c\nd")]).inc();

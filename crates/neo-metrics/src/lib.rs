@@ -87,12 +87,24 @@ pub fn reset() {
     registry().clear();
 }
 
+/// Serialises this crate's tests that toggle the process-wide gate:
+/// `cargo test` runs tests on parallel threads, and one test's
+/// `disable()` would otherwise drop another's gated records.
+#[cfg(test)]
+pub(crate) fn gate_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A failed test poisons the lock; the unit value needs no repair.
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn gate_toggles_recording() {
+        let _gate = gate_lock();
         // Unique metric name: tests share the process-wide registry.
         let h = histogram("gate_toggles_recording_ns", &[]);
         disable();

@@ -357,6 +357,7 @@ mod tests {
 
     #[test]
     fn snapshot_and_since_cover_all_kinds() {
+        let _gate = crate::gate_lock();
         crate::enable();
         let r = MetricsRegistry::new();
         r.counter("ops_total", &[]).add(5);
@@ -383,6 +384,7 @@ mod tests {
 
     #[test]
     fn family_collects_label_variants() {
+        let _gate = crate::gate_lock();
         crate::enable();
         let r = MetricsRegistry::new();
         r.counter("fam_total", &[("op", "a")]).inc();

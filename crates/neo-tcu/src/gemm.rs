@@ -1,24 +1,22 @@
 //! Modular GEMM engines.
 //!
 //! [`GemmEngine`] is the pluggable matrix-multiplication backend used by the
-//! NTT, BConv and IP kernels. Four engines are provided:
+//! NTT, BConv and IP kernels. Three engines are provided:
 //!
-//! * [`ScalarGemm`] — straightforward modular arithmetic (the CUDA-core
-//!   path, and the correctness oracle);
-//! * [`BackendGemm`] — the same contract routed through a pinned
-//!   [`neo_math::ComputeBackend`], so the inner loop can run vectorized;
+//! * [`ScalarGemm`] — blocked deferred-reduction modular arithmetic (the
+//!   CUDA-core path), checked against the [`reference_gemm`] oracle;
 //! * [`Fp64TcuGemm`] — Neo's pipeline: split → FP64 `8×8×4` fragment MMAs →
 //!   shift-merge → reduce;
 //! * [`Int8TcuGemm`] — TensorFHE's pipeline with byte planes and INT8
 //!   fragments.
 //!
-//! All four produce **identical** outputs for reduced inputs; the TCU
+//! All three produce **identical** outputs for reduced inputs; the TCU
 //! engines really route every multiply through the fragment emulation in
 //! [`crate::fragment`].
 
 use crate::fragment::{self, FragmentShape, FP64_FRAGMENT, INT8_FRAGMENTS};
 use crate::split::{Fp64SplitScheme, Int8SplitScheme};
-use neo_math::{BackendKind, Modulus, PortableBackend};
+use neo_math::{Modulus, PortableBackend};
 use neo_trace::Counter;
 use std::cell::RefCell;
 
@@ -60,7 +58,8 @@ pub trait GemmEngine {
 /// reduction: inside one K-span no modular reduction happens at all, and
 /// the span length is chosen so the accumulators provably cannot wrap.
 /// Output is bit-identical to [`reference_gemm`] — both land on the
-/// canonical representative in `[0, q)`.
+/// canonical representative in `[0, q)`. With [`neo_metrics::enabled`],
+/// each call's wall-clock lands in the `tcu_gemm_ns` histogram.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ScalarGemm;
 
@@ -77,76 +76,16 @@ impl GemmEngine for ScalarGemm {
     ) {
         check_dims(a, b, out, m, k, n);
         neo_trace::add(Counter::GemmMacs, (m * k * n) as u64);
-        use neo_math::ComputeBackend;
-        PortableBackend.gemm(q, a, b, m, k, n, out);
-    }
-
-    fn name(&self) -> &'static str {
-        "scalar"
-    }
-}
-
-/// Modular GEMM dispatched through a [`neo_math::ComputeBackend`].
-///
-/// Same contract and telemetry as [`ScalarGemm`] — `GemmMacs` tallies the
-/// full `m·k·n` regardless of backend — but the i-k-j inner loop runs on
-/// the pinned backend, which may use vector lanes. Output is bit-identical
-/// to [`ScalarGemm`] and [`reference_gemm`]: every backend folds its
-/// accumulators on the same K-span schedule and emits the canonical
-/// representative in `[0, q)`.
-#[derive(Debug, Clone, Copy)]
-pub struct BackendGemm {
-    kind: BackendKind,
-}
-
-impl BackendGemm {
-    /// Engine pinned to `kind`.
-    pub fn new(kind: BackendKind) -> Self {
-        Self { kind }
-    }
-
-    /// Engine using the process-default backend ([`BackendKind::detect`]):
-    /// the `NEO_BACKEND` override if set, otherwise the best backend the
-    /// build and CPU support.
-    pub fn auto() -> Self {
-        Self::new(BackendKind::detect())
-    }
-
-    /// The pinned backend kind.
-    pub fn kind(&self) -> BackendKind {
-        self.kind
-    }
-}
-
-impl Default for BackendGemm {
-    fn default() -> Self {
-        Self::auto()
-    }
-}
-
-impl GemmEngine for BackendGemm {
-    fn gemm(
-        &self,
-        q: &Modulus,
-        a: &[u64],
-        b: &[u64],
-        m: usize,
-        k: usize,
-        n: usize,
-        out: &mut [u64],
-    ) {
-        check_dims(a, b, out, m, k, n);
-        neo_trace::add(Counter::GemmMacs, (m * k * n) as u64);
         // Gate before touching the clock: one relaxed load when disabled.
         let t0 = neo_metrics::enabled().then(std::time::Instant::now);
-        neo_math::backend::get(self.kind).gemm(q, a, b, m, k, n, out);
+        PortableBackend.gemm(q, a, b, m, k, n, out);
         if let Some(t0) = t0 {
-            crate::metrics::gemm_hist(self.kind).record_ns(t0.elapsed().as_nanos() as u64);
+            crate::metrics::GEMM_NS.record_ns(t0.elapsed().as_nanos() as u64);
         }
     }
 
     fn name(&self) -> &'static str {
-        self.kind.name()
+        "scalar"
     }
 }
 
@@ -504,29 +443,6 @@ mod tests {
         assert_eq!(ScalarGemm.name(), "scalar");
         assert_eq!(Fp64TcuGemm::for_word_size(36).name(), "tcu-fp64");
         assert_eq!(Int8TcuGemm::for_word_size(36).name(), "tcu-int8");
-        assert_eq!(BackendGemm::new(BackendKind::Portable).name(), "portable");
-        assert_eq!(BackendGemm::new(BackendKind::Simd).name(), "simd");
-        assert_eq!(BackendGemm::auto().kind(), BackendKind::detect());
-    }
-
-    #[test]
-    fn backend_gemm_is_bit_identical_across_kinds() {
-        let _tally = crate::tally_lock();
-        // Wide modulus + long K forces mid-row folds, the place where a
-        // backend with a different fold schedule would diverge.
-        let q = Modulus::new(primes::ntt_primes(61, 1 << 10, 1).unwrap()[0]).unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
-        let (m, k, n) = (4usize, 600usize, 19usize);
-        let a = random_mat(&mut rng, &q, m * k);
-        let b = random_mat(&mut rng, &q, k * n);
-        let mut scalar = vec![0u64; m * n];
-        let mut portable = vec![0u64; m * n];
-        let mut simd = vec![0u64; m * n];
-        ScalarGemm.gemm(&q, &a, &b, m, k, n, &mut scalar);
-        BackendGemm::new(BackendKind::Portable).gemm(&q, &a, &b, m, k, n, &mut portable);
-        BackendGemm::new(BackendKind::Simd).gemm(&q, &a, &b, m, k, n, &mut simd);
-        assert_eq!(scalar, portable);
-        assert_eq!(scalar, simd);
     }
 
     #[test]

@@ -17,9 +17,8 @@
 //!   accumulating u8 products);
 //! * [`split`] — the FP64 12/24-bit splitting schemes and INT8 byte planes,
 //!   with exactness checks (`wa + wb + log2(K) ≤ 53`);
-//! * [`gemm`] — the [`GemmEngine`] trait plus four engines: scalar
-//!   reference, compute-backend (optionally vectorized), FP64-TCU, and
-//!   INT8-TCU, all producing identical results;
+//! * [`gemm`] — the [`GemmEngine`] trait plus three engines: scalar
+//!   (CUDA-core), FP64-TCU and INT8-TCU, all producing identical results;
 //! * [`stats`] — Booth complexity, fragment counts, padding and the
 //!   *valid proportion* metric of the paper's Fig. 12.
 //!
@@ -52,13 +51,13 @@ pub mod stats;
 
 pub use abft::{verify_gemm, CheckedGemm};
 pub use fragment::{FragmentShape, FP64_FRAGMENT, INT8_FRAGMENTS};
-pub use gemm::{reference_gemm, BackendGemm, Fp64TcuGemm, GemmEngine, Int8TcuGemm, ScalarGemm};
+pub use gemm::{reference_gemm, Fp64TcuGemm, GemmEngine, Int8TcuGemm, ScalarGemm};
 pub use multimod::{gemm_multi_mod_fp64, gemm_multi_mod_int8, gemm_multi_mod_scalar};
 pub use split::{Fp64SplitScheme, Int8SplitScheme};
 pub use stats::{booth_complexity_fp64, booth_complexity_int8, valid_proportion, GemmDims};
 
 /// Serialises this crate's tests that run [`verify_gemm`] or
-/// [`BackendGemm`] while asserting on process-global tallies (`neo-trace`
+/// [`ScalarGemm`] while asserting on process-global tallies (`neo-trace`
 /// counters, `neo-metrics` handles): `cargo test` runs tests on parallel
 /// threads, and a concurrent test's checks would leak into the delta.
 #[cfg(test)]

@@ -1,15 +1,16 @@
 //! Cross-backend bit-identity: the portable and SIMD compute backends
 //! must produce byte-for-byte equal outputs on every kernel the
 //! [`neo_math::ComputeBackend`] seam covers — forward/inverse NTT, RNS
-//! base conversion, the element-wise and inner-product limb kernels, and
-//! the verified modular GEMM — across random primes and degrees. Equality of canonical outputs (not
+//! base conversion, and the element-wise and inner-product limb kernels —
+//! across random primes and degrees. Equality of canonical outputs (not
 //! just congruence) is the contract that makes the backend a pure
 //! throughput knob: ABFT checksums, integrity tokens, and golden test
 //! vectors all remain valid regardless of which backend computed them.
+//! The one host GEMM, ABFT-checked, is pinned to its oracle here too.
 
 use neo_math::{BackendKind, BconvTable, Modulus, RnsBasis};
 use neo_ntt::{radix2, NttPlan};
-use neo_tcu::{BackendGemm, CheckedGemm};
+use neo_tcu::{reference_gemm, CheckedGemm, ScalarGemm};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -74,10 +75,11 @@ proptest! {
         prop_assert_eq!(portable.scale_limbs(&limbs), simd.scale_limbs(&limbs));
     }
 
-    /// The ABFT-verified GEMM accepts both backends' products and the
-    /// products are bit-identical, across random primes and shapes.
+    /// The ABFT-verified host GEMM accepts its own products and they are
+    /// bit-identical to the fully-reduced oracle, across random 30–61-bit
+    /// primes and shapes.
     #[test]
-    fn gemm_verified_is_bit_identical_across_backends(
+    fn gemm_verified_matches_reference_at_every_word_size(
         seed in any::<u64>(),
         bits in 30u32..=61,
         m in 1usize..16,
@@ -90,14 +92,12 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let a = random_vec(&mut rng, m * k, q.value());
         let b = random_vec(&mut rng, k * n, q.value());
-        let (mut cp, mut cs) = (vec![0u64; m * n], vec![0u64; m * n]);
-        CheckedGemm::new(BackendGemm::new(BackendKind::Portable))
-            .gemm_verified(&q, &a, &b, m, k, n, &mut cp)
+        let (mut got, mut want) = (vec![0u64; m * n], vec![0u64; m * n]);
+        CheckedGemm::new(ScalarGemm)
+            .gemm_verified(&q, &a, &b, m, k, n, &mut got)
             .unwrap();
-        CheckedGemm::new(BackendGemm::new(BackendKind::Simd))
-            .gemm_verified(&q, &a, &b, m, k, n, &mut cs)
-            .unwrap();
-        prop_assert_eq!(cp, cs);
+        reference_gemm(&q, &a, &b, m, k, n, &mut want);
+        prop_assert_eq!(got, want);
     }
 }
 
