@@ -44,7 +44,6 @@ pub fn keyswitch_klss(
     let t_moduli = ctx.t_moduli().to_vec();
     let qp = ctx.qp_moduli(level);
     let qp_primes = ctx.qp_primes(level);
-    let n = d.degree();
     let ranges = digit_ranges(params.alpha(), level + 1);
     let dnum = ranges.len();
     let _s = neo_trace::span!("keyswitch.klss", level = level, dnum = dnum);
@@ -65,50 +64,50 @@ pub fn keyswitch_klss(
         .collect();
     let xs: Vec<RnsPoly> = xs.into_iter().collect::<Result<_, _>>()?;
 
-    // --- IP: for each output digit ĵ, accumulate over β input digits. ---
-    // --- INTT and Recover Limbs per output digit. ---
+    // --- IP, INTT and Recover Limbs per (output digit ĵ, component c). ---
     // The gadget factor ẽ_ĵ = Ê_ĵ·[Ê_ĵ⁻¹]_{E_ĵ} is ≡ 1 on digit ĵ's own
     // limbs and ≡ 0 on every other limb of R_PQ, so recovering G_ĵ only
     // writes its own α̃ limbs — this is why Table 2 counts Recover Limbs
     // as 2·α'·(l+α) rather than 2·β̃·α'·(l+α).
     let key_ranges = digit_ranges(kcfg.alpha_tilde, qp.len());
-    // Output digits write disjoint limb ranges of the result, so each
-    // (IP, INTT, Recover Limbs) chain runs on its own worker; the recovered
-    // limbs are stitched into `result` afterwards.
-    let recovered: Vec<Result<[Vec<Vec<u64>>; 2], NeoError>> = key_ranges
-        .par_iter()
-        .enumerate()
-        .map(|(jj, range)| -> Result<[Vec<Vec<u64>>; 2], NeoError> {
-            let digit_primes: Vec<u64> = qp_primes[range.clone()].to_vec();
-            let table = ctx.bconv_table(&t_primes, &digit_primes);
-            let recover = |c: usize| -> Result<Vec<Vec<u64>>, NeoError> {
-                let pairs: Vec<(&RnsPoly, &RnsPoly)> = xs
-                    .iter()
-                    .zip(&key.digits)
-                    .map(|(x, k)| (x, &k[jj][c]))
-                    .collect();
-                let mut acc = RnsPoly::inner_product(&pairs, &t_moduli, params.backend);
-                ctx.try_ntt_inverse(&mut acc, &t_moduli)?;
-                // Exact centered BConv of G_ĵ into digit ĵ's limbs.
-                Ok(table.convert_exact(acc.limbs()))
-            };
-            Ok([recover(0)?, recover(1)?])
+    let beta_t = key_ranges.len();
+    // The 2·β̃ (ĵ, c) chains are independent, so each runs as its own
+    // piece on the pool. They are ordered component-major, and the digit
+    // ranges tile R_PQ in limb order, so each component's recovered limbs
+    // are its β̃ consecutive outputs, moved into place without a copy.
+    let recovered: Vec<Result<Vec<Vec<u64>>, NeoError>> = (0..2 * beta_t)
+        .into_par_iter()
+        .map(|i| -> Result<Vec<Vec<u64>>, NeoError> {
+            let (c, jj) = (i / beta_t, i % beta_t);
+            let digit_primes: Vec<u64> = qp_primes[key_ranges[jj].clone()].to_vec();
+            let pairs: Vec<(&RnsPoly, &RnsPoly)> = xs
+                .iter()
+                .zip(&key.digits)
+                .map(|(x, k)| (x, &k[jj][c]))
+                .collect();
+            let mut acc = RnsPoly::inner_product(&pairs, &t_moduli, params.backend);
+            ctx.try_ntt_inverse(&mut acc, &t_moduli)?;
+            // Exact centered BConv of G_ĵ into digit ĵ's limbs.
+            Ok(ctx
+                .bconv_table(&t_primes, &digit_primes)
+                .convert_exact(acc.limbs()))
         })
         .collect();
-    let recovered: Vec<[Vec<Vec<u64>>; 2]> = recovered.into_iter().collect::<Result<_, _>>()?;
-    let mut result = [
-        RnsPoly::zero(n, qp.len(), Domain::Coeff),
-        RnsPoly::zero(n, qp.len(), Domain::Coeff),
-    ];
-    for (range, convs) in key_ranges.iter().zip(recovered) {
-        for (res, conv) in result.iter_mut().zip(convs) {
-            for (limb_out, limb_idx) in conv.into_iter().zip(range.clone()) {
-                res.limb_mut(limb_idx).copy_from_slice(&limb_out);
-            }
-        }
-    }
-    let [r0, r1] = result;
-    Ok((mod_down(ctx, &r0, level)?, mod_down(ctx, &r1, level)?))
+    let mut digits: Vec<Vec<Vec<u64>>> = recovered.into_iter().collect::<Result<_, _>>()?;
+    let u1: Vec<Vec<u64>> = digits.split_off(beta_t).into_iter().flatten().collect();
+    let u0: Vec<Vec<u64>> = digits.into_iter().flatten().collect();
+    let components = [u0, u1].map(|limbs| {
+        debug_assert_eq!(limbs.len(), qp.len());
+        RnsPoly::from_limbs(limbs, Domain::Coeff).expect("valid limbs")
+    });
+    // --- Mod Down, one piece per component. ---
+    let downs: Vec<Result<RnsPoly, NeoError>> = components[..]
+        .par_iter()
+        .map(|r| mod_down(ctx, r, level))
+        .collect();
+    let [u0, u1]: [Result<RnsPoly, NeoError>; 2] =
+        downs.try_into().expect("one result per component");
+    Ok((u0?, u1?))
 }
 
 #[cfg(test)]

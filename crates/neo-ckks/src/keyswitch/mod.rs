@@ -62,16 +62,14 @@ pub(crate) fn mod_down(
     }
     let p_part: Vec<&[u64]> = (level + 1..level + 1 + k).map(|i| poly.limb(i)).collect();
     let table = ctx.bconv_table(ctx.p_primes(), &ctx.q_primes()[..=level]);
-    let conv = table.convert_approx(&p_part);
-    let q_moduli = ctx.q_moduli(level);
-    let mut out = RnsPoly::zero(poly.degree(), level + 1, neo_math::Domain::Coeff);
-    for (i, m) in q_moduli.iter().enumerate() {
-        let inv = ctx.p_inv_mod_q(i);
-        let dst = out.limb_mut(i);
-        for (c, d) in dst.iter_mut().enumerate() {
-            let diff = m.sub(poly.limb(i)[c], conv[i][c]);
-            *d = m.mul(diff, inv);
+    let mut conv = table.convert_approx(&p_part);
+    let backend = neo_math::backend::get(ctx.params().backend);
+    let mut out = RnsPoly::zero(poly.degree(), level + 1, Domain::Coeff);
+    for (i, (m, diff)) in ctx.q_moduli(level).iter().zip(&mut conv).enumerate() {
+        for (d, &x) in diff.iter_mut().zip(poly.limb(i)) {
+            *d = m.sub(x, *d);
         }
+        backend.mul_const(m, m.shoup(ctx.p_inv_mod_q(i)), diff, out.limb_mut(i));
     }
     Ok(out)
 }
